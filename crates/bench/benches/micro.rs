@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the hot building blocks: projection,
 //! simplex transforms, one PRO iteration, estimators, noise sampling,
-//! the DES cascade, and database interpolation.
+//! the DES cascade, database interpolation, and the shared tier's
+//! warm-start pick.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use harmony_core::{Estimator, Optimizer, ProOptimizer};
+use harmony_core::{warm_start_center, Estimator, Optimizer, ProOptimizer};
 use harmony_params::init::{initial_simplex, InitialShape};
 use harmony_params::{ParamDef, ParamSpace, Point, Rounding, StepKind};
-use harmony_surface::{Gs2Model, Objective, PerfDatabase};
+use harmony_surface::{Gs2Model, Objective, PerfDatabase, SharedPerfDb};
 use harmony_variability::des::TwoPriorityDes;
 use harmony_variability::dist::{Distribution, Exponential, Pareto};
 use harmony_variability::noise::{Noise, NoiseModel};
@@ -216,6 +217,29 @@ fn bench_database_scaling(c: &mut Criterion) {
     }
 }
 
+/// The warm-start pick on a shared tier of 99 published GS2 estimates
+/// (every 20th lattice point). Each iteration first republishes the
+/// tier — a keep-min no-op record plus a flush — so the pick is
+/// recomputed from a fresh view rather than served from its memo.
+fn bench_shared_warm_start(c: &mut Criterion) {
+    let gs2 = Gs2Model::paper_scale();
+    let tier = SharedPerfDb::new(gs2.space().clone(), 4);
+    let published: Vec<Point> = gs2.space().lattice().step_by(20).collect();
+    for p in &published {
+        tier.record(p, gs2.eval(p));
+    }
+    tier.flush();
+    let again = &published[0];
+    let worse = gs2.eval(again) + 1.0;
+    c.bench_function("shared/warm_start_center", |b| {
+        b.iter(|| {
+            tier.record(again, worse);
+            tier.flush();
+            black_box(warm_start_center(&tier))
+        })
+    });
+}
+
 fn bench_database_build(c: &mut Criterion) {
     // the Fig. 8 database: every point of the GS2 paper-scale lattice
     // (15 x 12 x 11 = 1980 entries); exercises the O(1) insert path
@@ -351,6 +375,7 @@ criterion_group!(
     bench_batch_sampling,
     bench_database,
     bench_database_scaling,
+    bench_shared_warm_start,
     bench_database_build,
     bench_pool,
     bench_hetero,

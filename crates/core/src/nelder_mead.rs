@@ -15,7 +15,7 @@
 //! sequential: proposals are singletons except for the shrink step.
 
 use crate::optimizer::{HistoryInterpolator, Incumbent, Optimizer};
-use crate::pro::simplex_from_vertices;
+use crate::pro::{check_queue, check_restored, check_values_len, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
@@ -271,7 +271,23 @@ impl Checkpoint for NelderMead {
         self.history.restore_state(r)?;
         self.iterations = r.usize()?;
         self.converged = r.bool()?;
-        Ok(())
+        check_values_len(&self.values, &self.simplex, self.phase != Phase::Init)?;
+        check_queue(self.queue.len(), self.got.len(), self.phase == Phase::Done)?;
+        let incumbent = self.incumbent.peek();
+        check_restored(
+            &self.space,
+            self.simplex
+                .vertices()
+                .iter()
+                .chain(&self.queue)
+                .chain(self.reflected.iter().map(|(p, _)| p))
+                .chain(incumbent.map(|(p, _)| p)),
+            self.values
+                .iter()
+                .chain(&self.got)
+                .chain(self.reflected.iter().map(|(_, v)| v))
+                .chain(incumbent.map(|(_, v)| v)),
+        )
     }
 }
 

@@ -205,6 +205,11 @@ impl Incumbent {
     pub fn get(&self) -> Option<(Point, f64)> {
         self.best.clone()
     }
+
+    /// Current best by reference, if any.
+    pub(crate) fn peek(&self) -> Option<&(Point, f64)> {
+        self.best.as_ref()
+    }
 }
 
 impl Checkpoint for Incumbent {

@@ -60,6 +60,59 @@ pub(crate) fn simplex_from_vertices(verts: Vec<Point>) -> Result<Simplex, CodecE
     Simplex::new(verts).map_err(|e| CodecError::BadValue(format!("bad simplex: {e:?}")))
 }
 
+/// Rejects restored simplex values that do not fit the simplex: none
+/// before the initial simplex is measured, one per vertex afterwards.
+pub(crate) fn check_values_len(
+    values: &[f64],
+    simplex: &Simplex,
+    measured: bool,
+) -> Result<(), CodecError> {
+    let want = if measured {
+        simplex.vertices().len()
+    } else {
+        0
+    };
+    if values.len() == want {
+        Ok(())
+    } else {
+        Err(CodecError::BadValue(format!(
+            "{} simplex values, expected {want}",
+            values.len()
+        )))
+    }
+}
+
+/// Rejects a restored one-point-at-a-time queue whose next point does
+/// not exist: until the optimizer is done, fewer values than queued
+/// points must have arrived.
+pub(crate) fn check_queue(queued: usize, got: usize, done: bool) -> Result<(), CodecError> {
+    if done || got < queued {
+        Ok(())
+    } else {
+        Err(CodecError::BadValue(format!(
+            "{got} values received for {queued} queued points"
+        )))
+    }
+}
+
+/// Rejects restored optimizer state that would only fail later: every
+/// point must be admissible under `space` (the history database asserts
+/// it when the point is recorded) and every value finite (`observe`
+/// asserts it).
+pub(crate) fn check_restored<'a>(
+    space: &ParamSpace,
+    points: impl IntoIterator<Item = &'a Point>,
+    values: impl IntoIterator<Item = &'a f64>,
+) -> Result<(), CodecError> {
+    if let Some(p) = points.into_iter().find(|p| !space.is_admissible(p)) {
+        return Err(CodecError::BadValue(format!("inadmissible point {p:?}")));
+    }
+    if let Some(v) = values.into_iter().find(|v| !v.is_finite()) {
+        return Err(CodecError::BadValue(format!("non-finite value {v}")));
+    }
+    Ok(())
+}
+
 /// Tunable knobs of the PRO algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProConfig {
@@ -644,7 +697,29 @@ impl Checkpoint for ProOptimizer {
         self.converged = r.bool()?;
         // span bookkeeping belongs to the previous process's telemetry
         self.iter_span = 0;
-        Ok(())
+        check_values_len(
+            &self.values,
+            &self.simplex,
+            !matches!(self.state, State::Init),
+        )?;
+        let reflections: &[(Point, f64)] = match &self.state {
+            State::ExpandCheck { reflections } | State::Expand { reflections } => reflections,
+            _ => &[],
+        };
+        let incumbent = self.incumbent.peek();
+        check_restored(
+            &self.space,
+            self.simplex
+                .vertices()
+                .iter()
+                .chain(&self.pending)
+                .chain(reflections.iter().map(|(p, _)| p))
+                .chain(incumbent.map(|(p, _)| p)),
+            self.values
+                .iter()
+                .chain(reflections.iter().map(|(_, v)| v))
+                .chain(incumbent.map(|(_, v)| v)),
+        )
     }
 }
 

@@ -114,6 +114,14 @@ impl Checkpoint for Restarting {
         self.starts = r.usize()?;
         self.current_start = r.usize()?;
         self.current_center = r.point()?;
+        // later starts recenter their optimizer there, which requires
+        // an admissible point
+        if self.current_start > 0 && !self.space.is_admissible(&self.current_center) {
+            return Err(CodecError::BadValue(format!(
+                "inadmissible restart center {:?}",
+                self.current_center
+            )));
+        }
         self.incumbent.restore_state(r)?;
         // rebuild the inner optimizer exactly as the factory originally
         // did, then restore its internal state on top
@@ -351,5 +359,32 @@ mod tests {
         }
         assert_eq!(multi.starts(), resumed.starts());
         assert_eq!(multi.recommendation(), resumed.recommendation());
+    }
+
+    #[test]
+    fn inadmissible_restart_center_is_rejected() {
+        let mut multi = restarting_pro(space(), ProConfig::default(), 6, 7);
+        drive(&mut multi, 120);
+        assert!(multi.current_start > 0, "want a snapshot after a restart");
+        let bytes = harmony_recovery::save_to_vec(&multi);
+        // swap the encoded center for an off-lattice point
+        let header = StateWriter::new().len();
+        let encode = |p: &Point| {
+            let mut w = StateWriter::new();
+            w.point(p);
+            w.into_bytes().split_off(header)
+        };
+        let center = encode(&multi.current_center);
+        let at = bytes
+            .windows(center.len())
+            .position(|w| w == center.as_slice())
+            .expect("center is encoded");
+        let mut corrupt = bytes.clone();
+        corrupt[at..at + center.len()].copy_from_slice(&encode(&Point::new(vec![0.5, 0.5])));
+        let mut resumed = restarting_pro(space(), ProConfig::default(), 6, 7);
+        assert!(matches!(
+            harmony_recovery::restore_from_slice(&mut resumed, &corrupt),
+            Err(CodecError::BadValue(_))
+        ));
     }
 }

@@ -10,7 +10,7 @@
 //! parallelised the algorithm.
 
 use crate::optimizer::{HistoryInterpolator, Incumbent, Optimizer};
-use crate::pro::simplex_from_vertices;
+use crate::pro::{check_queue, check_restored, check_values_len, simplex_from_vertices};
 use harmony_params::init::{initial_simplex, InitialShape, DEFAULT_RELATIVE_SIZE};
 use harmony_params::{ParamSpace, Point, Rounding, Simplex, StepKind};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
@@ -402,13 +402,28 @@ impl Checkpoint for SroOptimizer {
         };
         self.queue = r.points()?;
         self.got = r.f64_vec()?;
+        // NaN is the legitimate "no reflection checked yet" sentinel
         self.reflect_check_val = r.f64()?;
         self.incumbent.restore_state(r)?;
         self.history.restore_state(r)?;
         self.iterations = r.usize()?;
         self.converged = r.bool()?;
         self.iter_span = 0;
-        Ok(())
+        check_values_len(&self.values, &self.simplex, self.phase != Phase::Init)?;
+        check_queue(self.queue.len(), self.got.len(), self.phase == Phase::Done)?;
+        let incumbent = self.incumbent.peek();
+        check_restored(
+            &self.space,
+            self.simplex
+                .vertices()
+                .iter()
+                .chain(&self.queue)
+                .chain(incumbent.map(|(p, _)| p)),
+            self.values
+                .iter()
+                .chain(&self.got)
+                .chain(incumbent.map(|(_, v)| v)),
+        )
     }
 }
 

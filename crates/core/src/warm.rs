@@ -19,19 +19,15 @@
 //! inside a genuinely cheap basin keeps its low score. The center is
 //! the published point with the lowest smoothed score.
 //!
-//! The selection is a pure function of the published snapshot (entries
-//! scanned in canonical key order, dimensions ascending, below before
-//! above, strict improvement required), so every session warm-starting
-//! from the same flushed state picks the same center regardless of
-//! scheduling.
+//! The selection lives beside the shared tier's flat read view as
+//! [`SharedPerfDb::smoothed_best`]: it is a pure function of the
+//! published snapshot, so every session warm-starting from the same
+//! flushed state picks the same center regardless of scheduling, and
+//! the tier computes it once per flush — later sessions of a wave reuse
+//! the memo.
 
 use harmony_params::Point;
 use harmony_surface::SharedPerfDb;
-
-/// Relative step used for continuous parameters when probing a
-/// neighbour of a published point (lattice parameters step by their own
-/// stride instead).
-const WARM_EPS: f64 = 0.05;
 
 /// The starting center for a new session: the published point with the
 /// lowest neighbourhood-smoothed estimate (see the module docs), or
@@ -39,32 +35,7 @@ const WARM_EPS: f64 = 0.05;
 /// default initial simplex). The returned point is always admissible:
 /// it is one of the published entries.
 pub fn warm_start_center(estimates: &SharedPerfDb) -> Option<Point> {
-    let entries = estimates.entries_canonical();
-    let space = estimates.space().clone();
-    let mut best: Option<(f64, Point)> = None;
-    for (p, v) in &entries {
-        let mut sum = *v;
-        let mut n = 1.0;
-        for (d, def) in space.params().iter().enumerate() {
-            let (below, above) = def.neighbors(p[d], WARM_EPS);
-            for coord in [below, above].into_iter().flatten() {
-                let mut q = p.clone();
-                q.as_mut_slice()[d] = coord;
-                if !space.is_admissible(&q) {
-                    continue;
-                }
-                if let Some(iv) = estimates.interpolate(&q) {
-                    sum += iv;
-                    n += 1.0;
-                }
-            }
-        }
-        let score = sum / n;
-        if best.as_ref().is_none_or(|(bs, _)| score < *bs) {
-            best = Some((score, p.clone()));
-        }
-    }
-    best.map(|(_, p)| p)
+    estimates.smoothed_best()
 }
 
 #[cfg(test)]

@@ -136,6 +136,35 @@ pub(crate) fn idw_average(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
     vsum / wsum
 }
 
+/// Squared distance between two coordinate slices in the
+/// width-normalised frame. Both [`PerfDatabase`] paths and the sharded
+/// database measure through this exact expression.
+pub(crate) fn scaled_dist2(a: &[f64], b: &[f64], inv_scale: &[f64]) -> f64 {
+    a.iter()
+        .zip(b.iter())
+        .zip(inv_scale.iter())
+        .map(|((x, y), s)| {
+            let d = (x - y) * s;
+            d * d
+        })
+        .sum()
+}
+
+/// Inserts `(d2, idx)` into the ascending `(d2, idx)`-ordered top-`k`
+/// buffer, dropping the worst element when full. Allocation-free once
+/// the buffer has capacity `k + 1`.
+pub(crate) fn offer_nearest(nearest: &mut Vec<(f64, usize)>, k: usize, d2: f64, idx: usize) {
+    if nearest.len() == k {
+        let (wd2, widx) = nearest[k - 1];
+        if (d2, idx) >= (wd2, widx) {
+            return;
+        }
+    }
+    let pos = nearest.partition_point(|&(ed2, eidx)| (ed2, eidx) < (d2, idx));
+    nearest.insert(pos, (d2, idx));
+    nearest.truncate(k);
+}
+
 /// Reads a lock, recovering from poisoning (the data is a plain memo and
 /// stays consistent even if a panicking thread held the lock).
 fn read_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -334,31 +363,6 @@ impl PerfDatabase {
         read_lock(&self.memo).len()
     }
 
-    fn scaled_dist2(&self, a: &Point, b: &Point) -> f64 {
-        a.iter()
-            .zip(b.iter())
-            .zip(self.inv_scale.iter())
-            .map(|((x, y), s)| {
-                let d = (x - y) * s;
-                d * d
-            })
-            .sum()
-    }
-
-    /// Inserts `(d2, idx)` into the ascending `(d2, idx)`-ordered top-`k`
-    /// buffer, dropping the worst element when full.
-    fn offer(nearest: &mut Vec<(f64, usize)>, k: usize, d2: f64, idx: usize) {
-        if nearest.len() == k {
-            let (wd2, widx) = nearest[k - 1];
-            if (d2, idx) >= (wd2, widx) {
-                return;
-            }
-        }
-        let pos = nearest.partition_point(|&(ed2, eidx)| (ed2, eidx) < (d2, idx));
-        nearest.insert(pos, (d2, idx));
-        nearest.truncate(k);
-    }
-
     /// Weights the selected neighbours (ascending `(d2, idx)` order) —
     /// shared verbatim by the indexed and scan paths so both produce
     /// bit-identical sums.
@@ -392,8 +396,8 @@ impl PerfDatabase {
         let k = self.k_neighbors.min(self.entries.len());
         let mut nearest: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
         for (i, (p, _)) in self.entries.iter().enumerate() {
-            let d2 = self.scaled_dist2(point, p);
-            Self::offer(&mut nearest, k, d2, i);
+            let d2 = scaled_dist2(point.as_slice(), p.as_slice(), &self.inv_scale);
+            offer_nearest(&mut nearest, k, d2, i);
         }
         Some(self.weighted_average(&nearest))
     }
@@ -425,8 +429,12 @@ impl PerfDatabase {
             for_each_ring_cell(&qcell, r, res as i64, &mut |cell| {
                 if let Some(indices) = self.grid.cells.get(cell) {
                     for &i in indices {
-                        let d2 = self.scaled_dist2(point, &self.entries[i].0);
-                        Self::offer(&mut nearest, k, d2, i);
+                        let d2 = scaled_dist2(
+                            point.as_slice(),
+                            self.entries[i].0.as_slice(),
+                            &self.inv_scale,
+                        );
+                        offer_nearest(&mut nearest, k, d2, i);
                     }
                 }
             });

@@ -13,44 +13,62 @@
 //!
 //! * **Sharded** — entries hash (by their exact lattice key) into a
 //!   fixed array of [`SHARD_COUNT`] shards, so unrelated writers rarely
-//!   touch the same shard.
-//! * **Lock-free reads** — each shard holds an *immutable snapshot*
-//!   behind an atomically swapped pointer (the private `swap::Swap`, an
-//!   epoch-counted `AtomicPtr` cell). [`SharedPerfDb::query`] and
-//!   [`SharedPerfDb::interpolate`] never take a lock: they pin the
-//!   current snapshot with a reader count, binary-search it, and
+//!   touch the same shard. The shards serve exact-key
+//!   [`SharedPerfDb::query`].
+//! * **One flat view for whole-tier reads** — every flush that changed
+//!   a shard also publishes one canonical (key-sorted) flat view of the
+//!   whole tier: contiguous coordinates with stride `D` plus values.
+//!   [`SharedPerfDb::interpolate`], [`SharedPerfDb::entries_canonical`],
+//!   [`SharedPerfDb::len`] and [`SharedPerfDb::to_database`] read it,
+//!   so a whole-tier read pins one snapshot instead of sixteen.
+//! * **Lock-free reads** — each shard snapshot and the view sit behind
+//!   an atomically swapped pointer (the private `swap::Swap`, an
+//!   epoch-counted `AtomicPtr` cell). Readers never take a lock: they
+//!   pin the current snapshot with a reader count, search it, and
 //!   unpin.
 //! * **Write-combining** — [`SharedPerfDb::record`] appends to a small
 //!   per-shard pending buffer (the only mutex on the write path);
 //!   [`SharedPerfDb::flush`] drains each buffer, merges keep-min into
-//!   a fresh sorted snapshot, and publishes it atomically.
+//!   a fresh sorted snapshot, publishes it atomically, and then
+//!   rebuilds the view under one mutex, so the last view published
+//!   reflects every shard.
 //! * **Deterministic** — the merge is keep-min (commutative and
 //!   associative) and snapshots are sorted ascending by lattice key,
 //!   so the post-flush state is independent of thread interleaving,
 //!   and [`SharedPerfDb::interpolate`] selects neighbours by
-//!   `(distance², key)` with the same inverse-distance kernel as
-//!   `PerfDatabase` — results are *bit-identical* to a single-owner
-//!   database built from the same measurements (pinned by lockstep
-//!   property tests).
+//!   `(distance², canonical index)` — which equals `(distance², key)` —
+//!   with the same inverse-distance kernel as `PerfDatabase`: results
+//!   are *bit-identical* to a single-owner database built from the same
+//!   measurements (pinned by lockstep property tests).
+//! * **Memoised warm-start center** — [`SharedPerfDb::smoothed_best`]
+//!   (the warm-start pick for sessions joining the effort) is a pure
+//!   function of the view, so each view computes it at most once; every
+//!   publish starts a fresh view and thereby invalidates it.
 //!
-//! Readers observe the snapshot published by the most recent flush;
+//! Readers observe the state published by the most recent flush;
 //! pending records are invisible until flushed. Drivers flush at wave
 //! barriers, which is what keeps multi-session experiments
 //! deterministic: within a wave every session sees the same snapshot
 //! no matter how its threads interleave.
 
-use crate::database::{idw_average, inv_scales, key_of};
+use crate::database::{idw_average, inv_scales, key_of, offer_nearest, scaled_dist2};
 use harmony_params::{ParamSpace, Point};
 use harmony_recovery::{Checkpoint, CodecError, StateReader, StateWriter};
 use harmony_stats::splitmix::mix64;
+use std::cmp::Ordering as KeyOrder;
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of shards; a power of two comfortably above typical writer
 /// counts so concurrent sessions rarely contend on one pending buffer.
 pub const SHARD_COUNT: usize = 16;
+
+/// Relative step used for continuous parameters when
+/// [`SharedPerfDb::smoothed_best`] probes a neighbour of a published
+/// point (lattice parameters step by their own stride instead).
+const SMOOTH_EPS: f64 = 0.05;
 
 /// The vetted lock-free cell: an atomically swapped boxed snapshot with
 /// epoch-counted readers. This is the only unsafe code in the crate.
@@ -179,6 +197,98 @@ impl Shard {
     }
 }
 
+/// The whole published tier as one flat read view: row `i` is the
+/// `i`-th entry in canonical (lattice-key ascending) order, with its
+/// coordinates at `coords[i * dims..(i + 1) * dims]` (their bit
+/// patterns are the row's key) and its value at `values[i]`.
+struct View {
+    dims: usize,
+    coords: Vec<f64>,
+    values: Vec<f64>,
+    /// [`SharedPerfDb::smoothed_best`] of this view, computed on first
+    /// use; a publish replaces the view and with it this memo.
+    center: OnceLock<Option<Point>>,
+}
+
+impl View {
+    /// Gathers every shard's current snapshot into canonical order.
+    /// Keys are unique across shards (a key lives in exactly one), so
+    /// sorting the concatenation is the canonical merge.
+    fn build(shards: &[Shard], dims: usize) -> Self {
+        let (mut coords, mut values) = (Vec::new(), Vec::new());
+        for shard in shards {
+            shard.snap.read(|snap| {
+                for (_, p, v) in snap {
+                    coords.extend_from_slice(p.as_slice());
+                    values.push(*v);
+                }
+            });
+        }
+        let row = |i: usize| &coords[i * dims..(i + 1) * dims];
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let key = |i| row(i).iter().map(|x| x.to_bits());
+            key(a).cmp(key(b))
+        });
+        View {
+            dims,
+            coords: order.iter().flat_map(|&i| row(i).iter().copied()).collect(),
+            values: order.iter().map(|&i| values[i]).collect(),
+            center: OnceLock::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.coords[i * self.dims..(i + 1) * self.dims]
+    }
+
+    /// The row whose key equals `q`'s bit patterns, by binary search.
+    fn find(&self, q: &[f64]) -> Option<usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let key = self.row(mid).iter().map(|x| x.to_bits());
+            match key.cmp(q.iter().map(|x| x.to_bits())) {
+                KeyOrder::Less => lo = mid + 1,
+                KeyOrder::Greater => hi = mid,
+                KeyOrder::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+
+    /// Inverse-distance-weighted estimate at `q` from the `k` nearest
+    /// rows by `(distance², row)`, or the stored value on an exact hit;
+    /// `None` while the view is empty. `nearest` is caller-owned
+    /// scratch, so repeated calls do not allocate.
+    fn interpolate(
+        &self,
+        q: &[f64],
+        k: usize,
+        inv_scale: &[f64],
+        nearest: &mut Vec<(f64, usize)>,
+    ) -> Option<f64> {
+        if self.values.is_empty() {
+            return None;
+        }
+        if let Some(i) = self.find(q) {
+            return Some(self.values[i]);
+        }
+        let k = k.min(self.len());
+        nearest.clear();
+        for (i, row) in self.coords.chunks_exact(self.dims).enumerate() {
+            offer_nearest(nearest, k, scaled_dist2(q, row, inv_scale), i);
+        }
+        Some(idw_average(
+            nearest.iter().map(|&(d2, i)| (d2, self.values[i])),
+        ))
+    }
+}
+
 /// Operation counters for a [`SharedPerfDb`] (or one of its shards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharedDbStats {
@@ -246,6 +356,12 @@ pub struct SharedPerfDb {
     pub k_neighbors: usize,
     inv_scale: Vec<f64>,
     shards: Vec<Shard>,
+    view: swap::Swap<View>,
+    /// Shard publications so far; bumped after each one.
+    generation: AtomicU64,
+    /// The `generation` the published view reflects. Held while the
+    /// view is rebuilt, which serialises rebuilds.
+    view_generation: Mutex<u64>,
 }
 
 impl std::fmt::Debug for SharedPerfDb {
@@ -281,11 +397,15 @@ impl SharedPerfDb {
     pub fn new(space: ParamSpace, k_neighbors: usize) -> Self {
         assert!(k_neighbors >= 1, "need at least one neighbour");
         let inv_scale = inv_scales(&space);
+        let shards: Vec<Shard> = (0..SHARD_COUNT).map(|_| Shard::new()).collect();
         SharedPerfDb {
+            view: swap::Swap::new(View::build(&shards, space.dims())),
             space,
             k_neighbors,
             inv_scale,
-            shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
+            shards,
+            generation: AtomicU64::new(0),
+            view_generation: Mutex::new(0),
         }
     }
 
@@ -345,7 +465,8 @@ impl SharedPerfDb {
     }
 
     /// Drains every shard's pending buffer into a fresh sorted snapshot
-    /// (keep-min on duplicate keys) and publishes it atomically.
+    /// (keep-min on duplicate keys), publishes it atomically, and then
+    /// republishes the flat view if any shard changed.
     ///
     /// Each shard's pending lock is held across its merge-and-publish,
     /// so concurrent flushes serialise per shard; because the keep-min
@@ -377,68 +498,129 @@ impl SharedPerfDb {
             }
             let snap: ShardSnap = map.into_iter().map(|(k, (p, v))| (k, p, v)).collect();
             shard.snap.publish(snap);
+            self.generation.fetch_add(1, Ordering::SeqCst);
             shard.publishes.fetch_add(1, Ordering::Relaxed);
         }
+        self.refresh_view();
     }
 
-    fn scaled_dist2(&self, a: &Point, b: &Point) -> f64 {
-        a.iter()
-            .zip(b.iter())
-            .zip(self.inv_scale.iter())
-            .map(|((x, y), s)| {
-                let d = (x - y) * s;
-                d * d
-            })
-            .sum()
+    /// Rebuilds and publishes the view unless it already reflects every
+    /// shard publication so far. A flush that found its records drained
+    /// by a concurrent flush still waits here for a view containing
+    /// them: that flush bumped `generation` before releasing the shard
+    /// lock this one then acquired.
+    fn refresh_view(&self) {
+        let mut built = self
+            .view_generation
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let current = self.generation.load(Ordering::SeqCst);
+        if *built != current {
+            self.view
+                .publish(View::build(&self.shards, self.space.dims()));
+            *built = current;
+        }
     }
 
     /// Inverse-distance-weighted estimate from published entries, or
     /// `None` while nothing is published. Exact hits return the stored
-    /// value. Lock-free (reads each shard's pinned snapshot).
+    /// value. Lock-free (reads the pinned view) and counter-free: unlike
+    /// [`Self::query`] it does not touch the hit/miss counters.
     ///
-    /// Neighbours are the `k_neighbors` nearest by `(distance², key)`;
-    /// since a single-owner [`PerfDatabase`](crate::PerfDatabase)
-    /// built by inserting the canonical (key-ascending) entries ranks
-    /// by `(distance², insertion index)`, both select the same
-    /// neighbours in the same order and accumulate through the same
-    /// kernel — bit-identical results, pinned by lockstep tests.
+    /// Neighbours are the `k_neighbors` nearest by `(distance²,
+    /// canonical index)`; since a single-owner
+    /// [`PerfDatabase`](crate::PerfDatabase) built by inserting the
+    /// canonical (key-ascending) entries ranks by `(distance², insertion
+    /// index)`, both select the same neighbours in the same order and
+    /// accumulate through the same kernel — bit-identical results,
+    /// pinned by lockstep tests.
     pub fn interpolate(&self, point: &Point) -> Option<f64> {
-        if let Some(v) = self.query(point) {
-            return Some(v);
-        }
-        // (d2, key, value), ascending; capped at k
-        let mut nearest: Vec<(f64, Vec<u64>, f64)> = Vec::new();
-        let k = self.k_neighbors;
-        for shard in &self.shards {
-            shard.snap.read(|snap| {
-                for (ekey, ep, ev) in snap.iter() {
-                    let d2 = self.scaled_dist2(point, ep);
-                    if nearest.len() == k {
-                        let worst = &nearest[k - 1];
-                        if (d2, ekey.as_slice()) >= (worst.0, worst.1.as_slice()) {
-                            continue;
-                        }
-                    }
-                    let pos =
-                        nearest.partition_point(|e| (e.0, e.1.as_slice()) < (d2, ekey.as_slice()));
-                    nearest.insert(pos, (d2, ekey.clone(), *ev));
-                    nearest.truncate(k);
-                }
-            });
-        }
-        if nearest.is_empty() {
-            return None;
-        }
-        Some(idw_average(nearest.iter().map(|e| (e.0, e.2))))
+        self.view.read(|view| {
+            view.interpolate(
+                point.as_slice(),
+                self.k_neighbors,
+                &self.inv_scale,
+                &mut Vec::new(),
+            )
+        })
     }
 
-    /// Number of published entries across all shards (excludes pending
-    /// records).
+    /// The warm-start center for a session joining the tuning effort:
+    /// the published point with the lowest neighbourhood-smoothed
+    /// estimate, or `None` while nothing is published.
+    ///
+    /// The raw minimum of min-of-K estimates is an *extreme-value
+    /// biased* record — the luckiest draw ever seen wins, not the best
+    /// configuration. So each published point is scored by its own
+    /// value averaged with [`Self::interpolate`] (§6's mechanism for
+    /// unmeasured points) at every admissible point one step away along
+    /// each axis: a lucky outlier surrounded by expensive
+    /// neighbourhoods scores poorly, while a point inside a genuinely
+    /// cheap basin keeps its low score. Entries are scanned in
+    /// canonical order, dimensions ascending, below before above, and
+    /// only a strictly lower score replaces the pick, so the result is
+    /// a pure function of the published state.
+    ///
+    /// Computed at most once per published view (later calls, from any
+    /// thread, return the memo); pending records do not change it.
+    pub fn smoothed_best(&self) -> Option<Point> {
+        self.view
+            .read(|view| view.center.get_or_init(|| self.smooth(view)).clone())
+    }
+
+    fn smooth(&self, view: &View) -> Option<Point> {
+        let mut nearest = Vec::with_capacity(self.k_neighbors + 1);
+        // neighbouring published points share probes: estimate each
+        // probed point once per pass
+        let mut estimated: HashMap<Vec<u64>, f64> = HashMap::new();
+        let mut key = Vec::with_capacity(view.dims);
+        let mut q = Point::zeros(view.dims);
+        let mut best: Option<(f64, usize)> = None;
+        for i in 0..view.len() {
+            q.as_mut_slice().copy_from_slice(view.row(i));
+            let mut sum = view.values[i];
+            let mut n = 1.0;
+            for (d, def) in self.space.params().iter().enumerate() {
+                let x = view.row(i)[d];
+                let (below, above) = def.neighbors(x, SMOOTH_EPS);
+                for coord in [below, above].into_iter().flatten() {
+                    q.as_mut_slice()[d] = coord;
+                    if !self.space.is_admissible(&q) {
+                        continue;
+                    }
+                    key.clear();
+                    key.extend(q.iter().map(f64::to_bits));
+                    let v = match estimated.get(key.as_slice()) {
+                        Some(&v) => v,
+                        None => {
+                            let v = view
+                                .interpolate(
+                                    q.as_slice(),
+                                    self.k_neighbors,
+                                    &self.inv_scale,
+                                    &mut nearest,
+                                )
+                                .expect("a view with rows always interpolates");
+                            estimated.insert(key.clone(), v);
+                            v
+                        }
+                    };
+                    sum += v;
+                    n += 1.0;
+                }
+                q.as_mut_slice()[d] = x;
+            }
+            let score = sum / n;
+            if best.is_none_or(|(bs, _)| score < bs) {
+                best = Some((score, i));
+            }
+        }
+        best.map(|(_, i)| Point::from_slice(view.row(i)))
+    }
+
+    /// Number of published entries (excludes pending records).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.snap.read(|snap| snap.len()))
-            .sum()
+        self.view.read(View::len)
     }
 
     /// True when nothing is published yet.
@@ -458,33 +640,11 @@ impl SharedPerfDb {
     /// order — the deterministic enumeration used by checkpoints and
     /// by [`Self::to_database`].
     pub fn entries_canonical(&self) -> Vec<(Point, f64)> {
-        let mut all: Vec<(Vec<u64>, Point, f64)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            shard.snap.read(|snap| all.extend(snap.iter().cloned()));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all.into_iter().map(|(_, p, v)| (p, v)).collect()
-    }
-
-    /// The published entry with the lowest value (ties broken by
-    /// lattice key), or `None` while empty — the warm-start seed for a
-    /// session joining an ongoing tuning effort.
-    pub fn best_entry(&self) -> Option<(Point, f64)> {
-        let mut best: Option<(f64, Vec<u64>, Point)> = None;
-        for shard in &self.shards {
-            shard.snap.read(|snap| {
-                for (k, p, v) in snap.iter() {
-                    let candidate = (*v, k.as_slice());
-                    if best
-                        .as_ref()
-                        .is_none_or(|(bv, bk, _)| candidate < (*bv, bk.as_slice()))
-                    {
-                        best = Some((*v, k.clone(), p.clone()));
-                    }
-                }
-            });
-        }
-        best.map(|(v, _, p)| (p, v))
+        self.view.read(|view| {
+            (0..view.len())
+                .map(|i| (Point::from_slice(view.row(i)), view.values[i]))
+                .collect()
+        })
     }
 
     /// Materialises the published state as a single-owner
@@ -556,7 +716,9 @@ impl SharedPerfDb {
             let mut pending = shard.pending.lock().unwrap_or_else(|e| e.into_inner());
             pending.clear();
             shard.snap.publish(Vec::new());
+            self.generation.fetch_add(1, Ordering::SeqCst);
         }
+        self.refresh_view();
     }
 }
 
@@ -677,17 +839,6 @@ mod tests {
         assert_eq!(s.pending, 0);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(db.per_shard().len(), SHARD_COUNT);
-    }
-
-    #[test]
-    fn best_entry_breaks_ties_by_key() {
-        let db = SharedPerfDb::new(space(), 1);
-        let a = Point::from(&[1.0, 1.0][..]);
-        let b = Point::from(&[9.0, 9.0][..]);
-        db.record(&b, 5.0);
-        db.record(&a, 5.0);
-        db.flush();
-        assert_eq!(db.best_entry(), Some((a, 5.0)));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Integration tests pinning [`SharedPerfDb`] to the single-owner
-//! [`PerfDatabase`] semantics: a lockstep property test over random
-//! operation sequences, a thread-interleaving equivalence check, and a
-//! reader/writer stress test of the lock-free snapshot path.
+//! [`PerfDatabase`] semantics: lockstep property tests over random
+//! operation sequences (interpolation and the warm-start pick), the
+//! lifecycle of the memoised warm-start pick, a thread-interleaving
+//! equivalence check, and a reader/writer stress test of the lock-free
+//! snapshot path.
 
 use harmony_surface::SharedPerfDb;
 use proptest::prelude::*;
@@ -72,6 +74,153 @@ proptest! {
             let b = single.try_interpolate(&p).map(f64::to_bits);
             prop_assert_eq!(a, b);
         }
+    }
+}
+
+/// A mixed space — lattice, levels and continuous axes — so the
+/// warm-start pick probes every kind of neighbour step.
+fn mixed_space() -> ParamSpace {
+    ParamSpace::new(vec![
+        ParamDef::integer("x", 0, 6, 1).unwrap(),
+        ParamDef::levels("z", LEVELS.to_vec()).unwrap(),
+        ParamDef::continuous("c", 0.0, 1.0).unwrap(),
+    ])
+    .unwrap()
+}
+
+const LEVELS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
+
+fn mixed_pt(x: i64, z: usize, c8: i64) -> Point {
+    Point::new(vec![x as f64, LEVELS[z], c8 as f64 / 8.0])
+}
+
+/// The warm-start pick as a direct scan over the canonical entries,
+/// every neighbour estimated by the single-owner reference database:
+/// the selection [`SharedPerfDb::smoothed_best`] must reproduce.
+fn smoothed_best_oracle(db: &SharedPerfDb) -> Option<Point> {
+    let entries = db.entries_canonical();
+    let reference = db.to_database();
+    let space = db.space().clone();
+    let mut best: Option<(f64, Point)> = None;
+    for (p, v) in &entries {
+        let mut sum = *v;
+        let mut n = 1.0;
+        for (d, def) in space.params().iter().enumerate() {
+            let (below, above) = def.neighbors(p[d], 0.05);
+            for coord in [below, above].into_iter().flatten() {
+                let mut q = p.clone();
+                q.as_mut_slice()[d] = coord;
+                if !space.is_admissible(&q) {
+                    continue;
+                }
+                if let Some(iv) = reference.try_interpolate_scan(&q) {
+                    sum += iv;
+                    n += 1.0;
+                }
+            }
+        }
+        let score = sum / n;
+        if best.as_ref().is_none_or(|(bs, _)| score < *bs) {
+            best = Some((score, p.clone()));
+        }
+    }
+    best.map(|(_, p)| p)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Tiers built by several record/flush rounds — with duplicate keys,
+    /// few distinct values (equal scores) and lattice-symmetric layouts
+    /// (equal-distance neighbours) — interpolate bit-identically to the
+    /// single-owner scan, and pick the same warm-start center as the
+    /// direct scan, before and after every flush.
+    #[test]
+    fn view_matches_single_owner_scan_and_oracle(
+        rounds in prop::collection::vec(
+            prop::collection::vec((0i64..7, 0usize..4, 0i64..9, 0u8..6), 1..24),
+            1..5,
+        ),
+        k in 1usize..6,
+    ) {
+        let shared = SharedPerfDb::new(mixed_space(), k);
+        for round in rounds {
+            for (x, z, c8, v) in round {
+                // small integer values force equal scores and ties
+                shared.record(&mixed_pt(x, z, c8), f64::from(v));
+            }
+            prop_assert_eq!(shared.smoothed_best(), smoothed_best_oracle(&shared));
+            shared.flush();
+            prop_assert_eq!(shared.smoothed_best(), smoothed_best_oracle(&shared));
+
+            let single = shared.to_database();
+            for x in 0..7 {
+                for z in LEVELS {
+                    for c16 in 0..17 {
+                        let q = Point::new(vec![x as f64, z, c16 as f64 / 16.0]);
+                        let a = shared.interpolate(&q).map(f64::to_bits);
+                        let b = single.try_interpolate_scan(&q).map(f64::to_bits);
+                        prop_assert_eq!(a, b, "at {:?}", q);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The warm-start pick is memoised per published view: pending records
+/// leave it alone, and `flush`, `clear` and `restore_state` each
+/// publish a fresh view that recomputes it.
+#[test]
+fn smoothed_best_recomputes_on_every_publish() {
+    let db = SharedPerfDb::new(space(), 1);
+    assert_eq!(db.smoothed_best(), None);
+    db.record(&pt(1, 1), 5.0);
+    assert_eq!(db.smoothed_best(), None, "pending records are invisible");
+    db.flush();
+    assert_eq!(db.smoothed_best(), Some(pt(1, 1)));
+
+    // a much cheaper point stays invisible until the next flush
+    db.record(&pt(5, 5), 0.1);
+    assert_eq!(db.smoothed_best(), Some(pt(1, 1)));
+    db.flush();
+    assert_eq!(db.smoothed_best(), Some(pt(5, 5)));
+
+    // a keep-min no-op still republishes, and the pick is unchanged
+    db.record(&pt(5, 5), 3.0);
+    db.flush();
+    assert_eq!(db.smoothed_best(), Some(pt(5, 5)));
+
+    let saved = harmony_recovery::save_to_vec(&db);
+    db.clear();
+    assert_eq!(db.smoothed_best(), None);
+
+    let mut restored = SharedPerfDb::new(space(), 1);
+    restored.record(&pt(3, 3), 0.01);
+    restored.flush();
+    assert_eq!(restored.smoothed_best(), Some(pt(3, 3)));
+    harmony_recovery::restore_from_slice(&mut restored, &saved).unwrap();
+    assert_eq!(restored.smoothed_best(), Some(pt(5, 5)));
+    assert_eq!(restored.smoothed_best(), smoothed_best_oracle(&restored));
+}
+
+/// Eight threads asking for the warm-start pick of one snapshot all get
+/// the same point, equal to the direct scan.
+#[test]
+fn concurrent_smoothed_best_agrees() {
+    let db = SharedPerfDb::new(space(), 4);
+    for i in 0..40i64 {
+        db.record(&pt(i % 7, (i * 3) % 7), ((i * 37) % 23) as f64);
+    }
+    db.flush();
+    let want = smoothed_best_oracle(&db);
+    assert!(want.is_some());
+    let got: Vec<Option<Point>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8).map(|_| s.spawn(|| db.smoothed_best())).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for g in got {
+        assert_eq!(g, want);
     }
 }
 
@@ -185,6 +334,19 @@ fn readers_never_observe_torn_or_rising_values() {
     for w in keys.windows(2) {
         assert!(w[0] < w[1], "snapshot keys out of order");
     }
+
+    // the whole-tier view equals the union of the shard snapshots that
+    // exact-key queries read
+    assert_eq!(shared.len() as u64, shared.stats().entries);
+    let published: BTreeMap<(u64, u64), f64> = entries
+        .iter()
+        .map(|(p, v)| ((p[0].to_bits(), p[1].to_bits()), *v))
+        .collect();
+    for p in space().lattice() {
+        let k = (p[0].to_bits(), p[1].to_bits());
+        assert_eq!(shared.query(&p), published.get(&k).copied(), "at {p:?}");
+    }
+    assert_eq!(shared.smoothed_best(), smoothed_best_oracle(&shared));
 
     // and equals a serial replay of the same record stream
     let replay = SharedPerfDb::new(space(), 4);
