@@ -600,7 +600,7 @@ fn median_of(mut xs: Vec<f64>) -> f64 {
 /// observationally free), so the timing cannot be satisfied by skipping
 /// work.
 pub fn measure_recovery_overhead(reps: usize, steps: usize) -> RecoveryOverhead {
-    use harmony_core::server::{run_recoverable, run_resilient, RecoveryConfig, ServerConfig};
+    use harmony_core::server::{run_session, RecoveryConfig, ServerConfig, SessionOptions};
     use harmony_core::{Estimator, ProOptimizer};
     use harmony_surface::Objective;
 
@@ -614,23 +614,37 @@ pub fn measure_recovery_overhead(reps: usize, steps: usize) -> RecoveryOverhead 
     let plain = |seed: u64| {
         let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
         let t0 = Instant::now();
-        let out = run_resilient(&gs2, &noise, &mut opt, cfg(seed), &plan)
-            .expect("fault-free session terminates");
+        let out = run_session(
+            &gs2,
+            &noise,
+            &mut opt,
+            cfg(seed),
+            SessionOptions {
+                plan,
+                ..SessionOptions::default()
+            },
+        )
+        .map(|s| s.outcome)
+        .expect("fault-free session terminates");
         (t0.elapsed().as_secs_f64(), out)
     };
     let journaled = |seed: u64| {
         let mut journal = harmony_recovery::SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
         let t0 = Instant::now();
-        let out = run_recoverable(
+        let out = run_session(
             &gs2,
             &noise,
             &mut opt,
             cfg(seed),
-            &plan,
-            &mut journal,
-            recovery,
+            SessionOptions {
+                plan,
+                journal: Some(&mut journal),
+                recovery,
+                ..SessionOptions::default()
+            },
         )
+        .map(|s| s.outcome)
         .expect("fault-free journalled session terminates");
         (t0.elapsed().as_secs_f64(), out)
     };

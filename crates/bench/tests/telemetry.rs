@@ -10,7 +10,7 @@
 
 use harmony_bench::harness::{self, RunConfig};
 use harmony_cluster::FaultPlan;
-use harmony_core::server::{run_resilient_traced, ServerConfig};
+use harmony_core::server::{run_session, ServerConfig, SessionOptions};
 use harmony_core::{Estimator, OnlineTuner, ProOptimizer, TunerConfig};
 use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_surface::objective::FnObjective;
@@ -125,8 +125,19 @@ fn fault_plan_session_events_match_stats_and_are_reproducible() {
         let plan = FaultPlan::new(12, 0.4, 0.2, 0.05, 0.1);
         let (tel, sink) = Telemetry::memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_resilient_traced(&bowl(), &Noise::None, &mut opt, cfg, &plan, &tel)
-            .expect("session survives this plan");
+        let out = run_session(
+            &bowl(),
+            &Noise::None,
+            &mut opt,
+            cfg,
+            SessionOptions {
+                plan,
+                telemetry: tel.clone(),
+                ..SessionOptions::default()
+            },
+        )
+        .map(|s| s.outcome)
+        .expect("session survives this plan");
         (sink.take(), out)
     };
     let (records, out) = run();

@@ -45,8 +45,8 @@ pub enum Delivery {
 /// crashing client dies while running one of its first
 /// [`CRASH_HORIZON`] tasks); `hang`, `drop` and `duplicate` are per
 /// *report* and must sum to at most 1 (the remainder is delivered
-/// [`Delivery::OnTime`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// [`Delivery::OnTime`]). The default plan is [`FaultPlan::none`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     crash: f64,

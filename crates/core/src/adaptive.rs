@@ -19,14 +19,22 @@
 //! ones (close points under heavy noise) automatically buy more
 //! samples — exactly the behaviour eq. 22 prescribes, without knowing
 //! `λ` up front.
+//!
+//! [`AdaptiveTuner`] runs the same in-process loop as
+//! [`crate::OnlineTuner`] (objective memo, quality curve, batched
+//! exploit draws) with [`AdaptiveSampling::sample_batch`] as its batch
+//! sampler. Threaded sessions go through
+//! [`crate::server::run_session`] and its
+//! [`crate::server::SessionOptions`] instead.
 
 use crate::optimizer::Optimizer;
+use crate::sampling::Estimator;
 use crate::server::ServerError;
-use crate::tuner::{FaultStats, TuningOutcome};
+use crate::tuner::{OnlineTuner, TunerConfig, TuningOutcome};
 use harmony_cluster::{Cluster, TuningTrace};
 use harmony_surface::Objective;
+use harmony_telemetry::Telemetry;
 use harmony_variability::noise::NoiseModel;
-use harmony_variability::seeded_rng;
 use rand::RngCore;
 
 /// The adaptive sampling policy.
@@ -169,50 +177,23 @@ impl AdaptiveTuner {
         O: Objective + ?Sized,
         M: NoiseModel + ?Sized,
     {
-        let cluster = Cluster::new(self.cfg.procs);
-        let mut rng = seeded_rng(self.cfg.seed);
-        let mut trace = TuningTrace::new();
-        let mut evaluations = 0usize;
-        let mut quality_curve: Vec<(usize, f64)> = Vec::new();
-
-        while trace.len() < self.cfg.max_steps && !optimizer.converged() {
-            let batch = optimizer.propose();
-            if batch.is_empty() {
-                break;
-            }
-            let costs: Vec<f64> = batch.iter().map(|p| objective.eval(p)).collect();
-            let (estimates, rounds) = self
-                .cfg
-                .policy
-                .sample_batch(&cluster, &costs, noise, &mut rng, &mut trace);
-            evaluations += batch.len() * rounds;
-            optimizer.observe(&estimates);
-            if let Some((rec, _)) = optimizer.recommendation() {
-                quality_curve.push((trace.len(), objective.eval(&rec)));
-            }
-        }
-
-        let Some((best_point, best_estimate)) = optimizer.recommendation() else {
-            return Err(ServerError::NoObservations);
-        };
-        let best_true_cost = objective.eval(&best_point);
-        let exploit_costs = vec![best_true_cost; self.cfg.exploit_width.clamp(1, self.cfg.procs)];
-        while trace.len() < self.cfg.max_steps {
-            let outcome = cluster.execute_step(&exploit_costs, noise, &mut rng);
-            trace.push(outcome.t_k);
-        }
-
-        Ok(TuningOutcome {
-            trace,
-            steps_budget: self.cfg.max_steps,
-            best_point,
-            best_estimate,
-            best_true_cost,
-            converged: optimizer.converged(),
-            evaluations,
-            quality_curve,
-            faults: FaultStats::default(),
-        })
+        let c = self.cfg;
+        // the policy samples every batch, so the fixed-K estimator and
+        // sampling mode are never read
+        let tuner = OnlineTuner::new(TunerConfig {
+            procs: c.procs,
+            full_occupancy: false,
+            exploit_width: c.exploit_width,
+            ..TunerConfig::paper_default(c.max_steps, Estimator::Single, c.seed)
+        });
+        let disabled = Telemetry::disabled();
+        tuner.run_loop(
+            Some(&c.policy),
+            &[(0, objective)],
+            noise,
+            optimizer,
+            &disabled,
+        )
     }
 }
 
@@ -224,6 +205,7 @@ mod tests {
     use harmony_params::{ParamDef, ParamSpace, Point};
     use harmony_surface::objective::FnObjective;
     use harmony_variability::noise::Noise;
+    use harmony_variability::seeded_rng;
 
     fn space() -> ParamSpace {
         ParamSpace::new(vec![

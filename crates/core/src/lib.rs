@@ -43,7 +43,8 @@
 //!   objective + noise model on a simulated SPMD cluster for exactly `K`
 //!   time steps, producing the `Total_Time`/NTT record of eq. 2/23,
 //! * [`server`] — a fault-tolerant Active-Harmony-style tuning
-//!   **server** with real client threads exchanging fetch/report
+//!   **server** behind one entry point, [`server::run_session`], with
+//!   real client threads exchanging fetch/report
 //!   messages over channels, including free parallel multi-sampling
 //!   when `P > n` (§5.2); under an injected
 //!   [`harmony_cluster::FaultPlan`] it reassigns missed slots, evicts
@@ -83,9 +84,8 @@ pub use pro::{ProConfig, ProOptimizer};
 pub use restart::{restarting_pro, Restarting};
 pub use sampling::Estimator;
 pub use server::{
-    run_distributed, run_recoverable, run_resilient, run_resilient_shared, run_session_traced,
-    run_supervised, run_supervised_shared, RecoveryConfig, ServerConfig, ServerError,
-    SharedSession, SupervisedOutcome, SupervisorReport,
+    run_resilient_shared, run_session, run_session_traced, RecoveryConfig, ServerConfig,
+    ServerError, SessionOptions, SharedSession, SupervisedOutcome, SupervisorReport,
 };
 pub use surrogate::{SurrogateConfig, SurrogateOptimizer};
 pub use tuner::{FaultStats, OnlineTuner, TunerConfig, TuningOutcome};

@@ -17,12 +17,17 @@
 //! multi-sampling is free: "If there are 64 parallel processors running
 //! GS2 concurrently, we can set K = 10 with no additional cost."
 //!
+//! [`run_session`] is the one entry point. Its [`SessionOptions`] attach
+//! a fault plan, telemetry, a journal, a supervisor and shared database
+//! tiers; the default options run a fault-free, untraced, unjournalled,
+//! unsupervised and unshared session.
+//!
 //! # Fault tolerance
 //!
 //! The paper's setting — a live application on a shared cluster — is
-//! exactly where clients crash and reports go missing, so
-//! [`run_resilient`] tunes *through* injected faults (a
-//! [`FaultPlan`]) instead of panicking:
+//! exactly where clients crash and reports go missing, so a session
+//! tunes *through* the faults of its [`FaultPlan`] instead of
+//! panicking:
 //!
 //! * every dispatched assignment carries a `(batch, slot, attempt)`
 //!   identity and a **deadline**: a report that is late, lost, or whose
@@ -48,6 +53,14 @@
 //!
 //! Under a fault-free plan the whole machinery reduces to the original
 //! behaviour exactly.
+//!
+//! # Recovery
+//!
+//! A journalled session resumes by replaying its WAL through the same
+//! three steps the live session takes — apply a dispatch round, commit a
+//! batch, apply an exploit step — so a resumed session's outcome and
+//! (for a WAL-only resume) telemetry are identical to the uninterrupted
+//! run's by construction.
 
 use crate::cache::CachedObjective;
 use crate::optimizer::Optimizer;
@@ -66,7 +79,7 @@ use harmony_telemetry::{event, Field, Telemetry};
 use harmony_variability::counting::CountingRng;
 use harmony_variability::noise::NoiseModel;
 use harmony_variability::{seeded_rng, stream_seed};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -223,7 +236,6 @@ enum Task {
 /// synthesised by the transport's timeout and heartbeat monitors; here
 /// the client surfaces them explicitly so fault timing stays logical
 /// (deterministic) instead of wall-clock.
-#[derive(Clone)]
 enum Event {
     /// A measurement arrived. `late` means it arrived after the
     /// assignment's deadline had already expired (the server discards
@@ -257,55 +269,10 @@ enum Event {
     Died { client: usize, assign: Assignment },
 }
 
-/// Runs one distributed tuning session with no fault injection: spawns
-/// `procs` client threads, drives `optimizer` to convergence or budget
-/// exhaustion, exploits the incumbent for the remaining steps, and joins
-/// all clients.
-///
-/// This is [`run_resilient`] under [`FaultPlan::none`]; a fault-free
-/// session cannot fail unless the configuration is invalid or the
-/// optimizer never proposes.
-///
-/// # Panics
-/// Panics when the configuration is invalid or the optimizer produces
-/// nothing to observe (see [`ServerError`] for the typed alternative).
-pub fn run_distributed<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-) -> TuningOutcome
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_resilient(objective, noise, optimizer, cfg, &FaultPlan::none())
-        .expect("fault-free distributed session failed")
-}
-
-/// Runs one distributed tuning session under a [`FaultPlan`]. See the
-/// module docs for the fault-handling policy. Clients are joined on
-/// every exit path, including errors.
-pub fn run_resilient<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_resilient_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-    )
-}
+/// Section tag of the session snapshot. Bumped from `session` when the
+/// supervised section gained the supervisor report, so an older
+/// snapshot is rejected instead of misread.
+const SNAPSHOT_TAG: &str = "sess.v2";
 
 /// Persistence policy of a checkpointed session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -319,8 +286,9 @@ pub struct RecoveryConfig {
     pub snapshot_every: u64,
 }
 
-/// What the supervisor did during one session — all replay-derivable, so
-/// a resumed session reports identical numbers.
+/// What the supervisor did during one session. WAL replay re-derives
+/// the counters and a supervised session's snapshots carry them, so a
+/// resumed supervised session reports identical numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorReport {
     /// Whether the session completed in degraded mode (at least one
@@ -346,135 +314,6 @@ pub struct SupervisedOutcome {
     /// Supervisor counters; `degraded` tells whether the result came
     /// from a full-width run or a degraded one.
     pub supervisor: SupervisorReport,
-}
-
-/// [`run_resilient`] with snapshot/WAL persistence: the session journals
-/// every committed batch (and exploit step) into `journal` and takes
-/// periodic snapshots per `recovery`. When `journal` is non-empty the
-/// session **resumes** instead of starting over — the optimizer and
-/// session state are restored (snapshot + WAL-tail replay) and clients
-/// fast-forward their RNG streams to the journaled positions, so the
-/// resumed run's [`TuningOutcome`] is byte-identical to an uninterrupted
-/// one.
-pub fn run_recoverable<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    journal: &mut SessionJournal,
-    recovery: RecoveryConfig,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-        Some(journal),
-        recovery,
-        None,
-    )
-    .map(|s| s.outcome)
-}
-
-/// [`run_recoverable`] with structured tracing. A WAL-only resume
-/// (no snapshot taken yet) re-emits the replayed records' telemetry, so
-/// the resumed trace is byte-identical to the uninterrupted one; a
-/// snapshot resume skips the pre-snapshot events (the outcome is still
-/// byte-identical).
-#[allow(clippy::too_many_arguments)]
-pub fn run_recoverable_traced<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    tel: &Telemetry,
-    journal: &mut SessionJournal,
-    recovery: RecoveryConfig,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
-        Some(journal),
-        recovery,
-        None,
-    )
-    .map(|s| s.outcome)
-}
-
-/// [`run_resilient`] under a supervisor: per-client circuit breakers
-/// narrow dispatch around unhealthy clients (recovering width when they
-/// return), and a batch that finishes below quorum is salvaged with
-/// escalating re-dispatches and — when at least one estimate survives —
-/// forced through `observe_partial` as a *degraded* advance instead of
-/// failing with [`ServerError::QuorumNotReached`]. Every supervisor
-/// state transition is emitted as a `recovery.*` telemetry event in
-/// canonical order.
-pub fn run_supervised<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    supervisor: SupervisorConfig,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-        None,
-        RecoveryConfig::default(),
-        Some(supervisor),
-    )
-}
-
-/// [`run_supervised`] with structured tracing.
-pub fn run_supervised_traced<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    tel: &Telemetry,
-    supervisor: SupervisorConfig,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
-        None,
-        RecoveryConfig::default(),
-        Some(supervisor),
-    )
 }
 
 /// The cross-session shared-database handles a session may attach (see
@@ -505,8 +344,7 @@ pub struct SharedSession<'a> {
 }
 
 impl<'a> SharedSession<'a> {
-    /// No shared tiers: the session behaves exactly like the legacy
-    /// entry points.
+    /// No shared tiers: every evaluation probes the objective.
     pub fn none() -> Self {
         SharedSession::default()
     }
@@ -518,6 +356,35 @@ impl<'a> SharedSession<'a> {
             estimates: Some(estimates),
         }
     }
+}
+
+/// Everything a session may attach besides its objective, noise,
+/// optimizer and configuration. The default is the fault-free,
+/// untraced, unjournalled, unsupervised, unshared session.
+#[derive(Default)]
+pub struct SessionOptions<'a> {
+    /// Faults injected into the clients (see the module docs).
+    pub plan: FaultPlan,
+    /// Structured tracing: a `server.session` span with one event per
+    /// fault-handling decision (miss, retry, abandonment, eviction,
+    /// duplicate, partial batch), stamped with the logical clock and
+    /// emitted in canonical order, so identical sessions produce
+    /// byte-identical traces regardless of thread scheduling.
+    pub telemetry: Telemetry,
+    /// WAL/snapshot persistence. A non-empty journal **resumes** the
+    /// session to an outcome byte-identical to the uninterrupted run's;
+    /// a WAL-only resume also re-emits the replayed telemetry, a
+    /// snapshot resume skips the pre-snapshot events.
+    pub journal: Option<&'a mut SessionJournal>,
+    /// Snapshot cadence of a journalled session.
+    pub recovery: RecoveryConfig,
+    /// Supervision: circuit breakers narrow dispatch around unhealthy
+    /// clients, and a batch below quorum is salvaged, then forced
+    /// through `observe_partial` as a *degraded* advance instead of
+    /// failing. Every transition is a `recovery.*` event.
+    pub supervisor: Option<SupervisorConfig>,
+    /// Cross-session shared database tiers; the caller flushes them.
+    pub shared: SharedSession<'a>,
 }
 
 /// Wraps an optimizer so every estimate it observes is also recorded
@@ -582,121 +449,36 @@ impl Optimizer for PublishingOptimizer<'_> {
     }
 }
 
-/// [`run_resilient`] with cross-session shared database tiers attached:
-/// evaluations consult `shared.costs` before probing the objective and
-/// record fresh probes back, and observed batch estimates are published
-/// (pending) into `shared.estimates`. The caller flushes the shared
-/// databases when the new measurements should become visible.
-pub fn run_resilient_shared<O, M>(
+/// Runs one distributed tuning session: spawns `cfg.procs` client
+/// threads, drives `optimizer` to convergence or budget exhaustion,
+/// exploits the incumbent for the remaining steps, and joins all
+/// clients on every exit path, including errors. `opts` attaches faults,
+/// telemetry, a journal, a supervisor and shared tiers (see
+/// [`SessionOptions`]).
+///
+/// # Errors
+/// A typed [`ServerError`] when the configuration is invalid, the fleet
+/// dies, a batch misses its quorum, the optimizer never proposes, or
+/// the journal cannot be resumed.
+pub fn run_session<O, M>(
     objective: &O,
     noise: &M,
     optimizer: &mut dyn Optimizer,
     cfg: ServerConfig,
-    plan: &FaultPlan,
-    shared: SharedSession<'_>,
-) -> Result<TuningOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_shared_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        &Telemetry::disabled(),
-        None,
-        RecoveryConfig::default(),
-        None,
-        shared,
-    )
-    .map(|s| s.outcome)
-}
-
-/// [`run_supervised`] with cross-session shared database tiers attached
-/// (see [`run_resilient_shared`]).
-pub fn run_supervised_shared<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    supervisor: SupervisorConfig,
-    shared: SharedSession<'_>,
+    opts: SessionOptions<'_>,
 ) -> Result<SupervisedOutcome, ServerError>
 where
     O: Objective + Sync + ?Sized,
     M: NoiseModel + Sync + ?Sized,
 {
-    run_session_shared_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
+    let SessionOptions {
         plan,
-        &Telemetry::disabled(),
-        None,
-        RecoveryConfig::default(),
-        Some(supervisor),
-        shared,
-    )
-}
-
-/// The master session entry point: [`run_resilient_traced`] plus
-/// optional journaled persistence/resume and optional supervision, in
-/// any combination. With both options off it reduces to the legacy
-/// resilient session exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn run_session_traced<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    tel: &Telemetry,
-    journal: Option<&mut SessionJournal>,
-    recovery: RecoveryConfig,
-    supervisor: Option<SupervisorConfig>,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
-    run_session_shared_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
-        journal,
+        telemetry,
+        mut journal,
         recovery,
         supervisor,
-        SharedSession::none(),
-    )
-}
-
-/// [`run_session_traced`] with cross-session shared database tiers (see
-/// [`SharedSession`]). With both tiers `None` it *is*
-/// [`run_session_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_session_shared_traced<O, M>(
-    objective: &O,
-    noise: &M,
-    optimizer: &mut dyn Optimizer,
-    cfg: ServerConfig,
-    plan: &FaultPlan,
-    tel: &Telemetry,
-    mut journal: Option<&mut SessionJournal>,
-    recovery: RecoveryConfig,
-    supervisor: Option<SupervisorConfig>,
-    shared: SharedSession<'_>,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + Sync + ?Sized,
-    M: NoiseModel + Sync + ?Sized,
-{
+        shared,
+    } = opts;
     let mut publishing;
     let optimizer: &mut dyn Optimizer = match shared.estimates {
         Some(estimates) => {
@@ -732,92 +514,128 @@ where
             journal_append(j, header)?;
         }
     }
+    let plan = &plan;
     std::thread::scope(|scope| {
         let (event_tx, event_rx) = channel::<Event>();
-        let mut client_txs: Vec<Sender<Task>> = Vec::with_capacity(cfg.procs);
-        for c in 0..cfg.procs {
-            let (task_tx, task_rx) = channel::<Task>();
-            client_txs.push(task_tx);
-            let event_tx = event_tx.clone();
-            let start = resume.starts[c];
-            let shared_costs = shared.costs;
-            scope.spawn(move || {
-                client_loop(
-                    c,
-                    task_rx,
-                    event_tx,
-                    objective,
-                    noise,
-                    cfg.seed,
-                    plan,
-                    start,
-                    shared_costs,
-                )
-            });
-        }
+        let clients: Vec<Sender<Task>> = (0..cfg.procs)
+            .map(|c| {
+                let (task_tx, task_rx) = channel::<Task>();
+                let event_tx = event_tx.clone();
+                let start = (resume.serials[c], resume.draws[c]);
+                scope.spawn(move || {
+                    client_loop(
+                        c,
+                        task_rx,
+                        event_tx,
+                        objective,
+                        noise,
+                        cfg.seed,
+                        plan,
+                        start,
+                        shared.costs,
+                    )
+                });
+                task_tx
+            })
+            .collect();
         drop(event_tx);
 
-        let outcome = serve(
-            objective,
-            optimizer,
+        let session = Session {
             cfg,
-            &client_txs,
-            &event_rx,
-            tel,
-            SessionExtras {
-                journal,
-                snapshot_every: recovery.snapshot_every,
-                supervisor,
-                resume,
-                shared_costs: shared.costs,
+            k,
+            tel: &telemetry,
+            clients: &clients,
+            events: &event_rx,
+            journal,
+            snapshot_every: recovery.snapshot_every,
+            supervisor,
+            shared_costs: shared.costs,
+            // objectives are deterministic (noise is applied
+            // per-client), so memoizing the recommendation probes is
+            // exact — the quality curve and best_true_cost revisit the
+            // same points heavily. When a shared cost tier is attached
+            // it sits between the memo and the probe.
+            objective: match shared.costs {
+                Some(db) => CachedObjective::with_shared(objective, db),
+                None => CachedObjective::new(objective),
             },
-        );
+            trace: TuningTrace::new(),
+            evaluations: 0,
+            quality_curve: Vec::new(),
+            fleet: Fleet {
+                live: (0..cfg.procs).collect(),
+                stats: FaultStats::default(),
+                serials: resume.serials.clone(),
+                draws: resume.draws.clone(),
+            },
+            batch_id: 0,
+            health: supervisor.map(|sc| HealthTracker::new(cfg.procs, sc)),
+            report: SupervisorReport {
+                min_width: usize::MAX,
+                ..SupervisorReport::default()
+            },
+        };
+        let outcome = session.run(optimizer, &resume);
         // tolerant shutdown: crashed clients have already dropped their
         // receivers, so sends may fail — that is fine, the thread is
         // gone. The scope joins every client on both Ok and Err paths.
-        for tx in &client_txs {
+        for tx in &clients {
             let _ = tx.send(Task::Stop);
         }
         outcome
     })
 }
 
-/// [`run_resilient`] with structured tracing: the session becomes a
-/// `server.session` span, every fault-handling decision (miss, retry,
-/// abandonment, eviction, duplicate, partial batch) becomes an event,
-/// and the objective cache and final [`TuningTrace`] metrics are
-/// exported at session end.
-///
-/// Although client reports arrive over mpsc channels in
-/// scheduling-dependent order, every emitted record is stamped with the
-/// *logical* clock (consumed time steps) and fault events are derived
-/// from the server's post-round state in canonical order — so identical
-/// `(seed, plan, config)` sessions produce byte-identical traces
-/// regardless of thread interleaving.
-pub fn run_resilient_traced<O, M>(
+/// [`run_session`] with its options as positional arguments. Kept
+/// because the benchmark harness in `perfbench/` calls it by name.
+#[allow(clippy::too_many_arguments)]
+pub fn run_session_traced<O, M>(
     objective: &O,
     noise: &M,
     optimizer: &mut dyn Optimizer,
     cfg: ServerConfig,
     plan: &FaultPlan,
     tel: &Telemetry,
+    journal: Option<&mut SessionJournal>,
+    recovery: RecoveryConfig,
+    supervisor: Option<SupervisorConfig>,
+) -> Result<SupervisedOutcome, ServerError>
+where
+    O: Objective + Sync + ?Sized,
+    M: NoiseModel + Sync + ?Sized,
+{
+    let opts = SessionOptions {
+        plan: *plan,
+        telemetry: tel.clone(),
+        journal,
+        recovery,
+        supervisor,
+        shared: SharedSession::none(),
+    };
+    run_session(objective, noise, optimizer, cfg, opts)
+}
+
+/// [`run_session`] with a fault plan and shared tiers only, returning
+/// the bare [`TuningOutcome`]. Kept because the benchmark harness in
+/// `perfbench/` calls it by name.
+pub fn run_resilient_shared<O, M>(
+    objective: &O,
+    noise: &M,
+    optimizer: &mut dyn Optimizer,
+    cfg: ServerConfig,
+    plan: &FaultPlan,
+    shared: SharedSession<'_>,
 ) -> Result<TuningOutcome, ServerError>
 where
     O: Objective + Sync + ?Sized,
     M: NoiseModel + Sync + ?Sized,
 {
-    run_session_traced(
-        objective,
-        noise,
-        optimizer,
-        cfg,
-        plan,
-        tel,
-        None,
-        RecoveryConfig::default(),
-        None,
-    )
-    .map(|s| s.outcome)
+    let opts = SessionOptions {
+        plan: *plan,
+        shared,
+        ..SessionOptions::default()
+    };
+    run_session(objective, noise, optimizer, cfg, opts).map(|s| s.outcome)
 }
 
 /// One simulated SPMD process: fetch task, run (evaluate objective under
@@ -869,42 +687,22 @@ fn client_loop<O, M>(
                 let observed = noise.observe(cost, &mut rng);
                 serial += 1;
                 let draws = rng.draws();
+                let report = |late, duplicate| Event::Report {
+                    assign,
+                    observed,
+                    late,
+                    duplicate,
+                    client: id,
+                    serial,
+                    draws,
+                };
                 let sent = match plan.delivery(id, serial - 1) {
-                    Delivery::OnTime => events
-                        .send(Event::Report {
-                            assign,
-                            observed,
-                            late: false,
-                            duplicate: false,
-                            client: id,
-                            serial,
-                            draws,
-                        })
-                        .is_ok(),
+                    Delivery::OnTime => events.send(report(false, false)).is_ok(),
                     Delivery::Duplicated => {
-                        let copy = Event::Report {
-                            assign,
-                            observed,
-                            late: false,
-                            duplicate: true,
-                            client: id,
-                            serial,
-                            draws,
-                        };
-                        let _ = events.send(copy.clone());
-                        events.send(copy).is_ok()
+                        let _ = events.send(report(false, true));
+                        events.send(report(false, true)).is_ok()
                     }
-                    Delivery::Late => events
-                        .send(Event::Report {
-                            assign,
-                            observed,
-                            late: true,
-                            duplicate: false,
-                            client: id,
-                            serial,
-                            draws,
-                        })
-                        .is_ok(),
+                    Delivery::Late => events.send(report(true, false)).is_ok(),
                     Delivery::Lost => events
                         .send(Event::Lost {
                             assign,
@@ -923,23 +721,15 @@ fn client_loop<O, M>(
     }
 }
 
-/// Options threaded into [`serve`] by [`run_session_shared_traced`].
-struct SessionExtras<'a> {
-    journal: Option<&'a mut SessionJournal>,
-    snapshot_every: u64,
-    supervisor: Option<SupervisorConfig>,
-    resume: ResumePlan,
-    shared_costs: Option<&'a SharedPerfDb>,
-}
-
 /// What a journal scan found: the snapshot to restore (if any), the WAL
-/// tail to replay on top of it, and the per-client stream positions to
-/// respawn clients at.
+/// tail to replay on top of it, and the per-client stream positions
+/// (task serials and RNG words) to respawn clients at.
 struct ResumePlan {
     fresh: bool,
     snapshot: Option<Vec<u8>>,
     replay: Vec<WalRecord>,
-    starts: Vec<(usize, u64)>,
+    serials: Vec<usize>,
+    draws: Vec<u64>,
 }
 
 impl ResumePlan {
@@ -948,7 +738,8 @@ impl ResumePlan {
             fresh: true,
             snapshot: None,
             replay: Vec::new(),
-            starts: vec![(0, 0); procs],
+            serials: vec![0; procs],
+            draws: vec![0; procs],
         }
     }
 }
@@ -963,6 +754,60 @@ fn journal_io(e: std::io::Error) -> ServerError {
 
 fn journal_append(journal: &mut SessionJournal, record: WalRecord) -> Result<(), ServerError> {
     journal.append_record(record).map_err(journal_io)
+}
+
+/// Rejects client indices read back from a journal that do not name one
+/// of the session's `procs` clients — or, for a live set, that are not
+/// strictly ascending — before they can index a client table.
+fn check_clients(
+    what: &str,
+    clients: &[usize],
+    procs: usize,
+    live_set: bool,
+) -> Result<(), String> {
+    let in_range = clients.iter().all(|&c| c < procs);
+    let ascending = !live_set || clients.windows(2).all(|w| w[0] < w[1]);
+    if in_range && ascending {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} {clients:?} is not a valid client set for {procs} clients"
+        ))
+    }
+}
+
+/// Rejects a journalled step time the trace would refuse.
+fn check_step(step: f64) -> Result<(), String> {
+    if step.is_finite() && step >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("step time {step}"))
+    }
+}
+
+/// Checks every client index and step time of one WAL record.
+fn check_record(rec: &WalRecord, procs: usize) -> Result<(), String> {
+    match rec {
+        WalRecord::Batch(b) => {
+            check_clients("batch live set", &b.live, procs, true)?;
+            for round in &b.rounds {
+                check_step(round.step)?;
+                check_clients("round clients", &round.clients, procs, false)?;
+                check_clients("round evictions", &round.evicted, procs, false)?;
+            }
+            Ok(())
+        }
+        WalRecord::Exploit(e) => {
+            check_step(e.step)?;
+            check_clients("exploit live set", &e.live, procs, true)?;
+            check_clients("exploit evictions", &e.pre_evicted, procs, false)?;
+            match e.kind {
+                ExploitKind::Died(c) => check_clients("exploit death", &[c], procs, false),
+                _ => Ok(()),
+            }
+        }
+        WalRecord::Header(_) => Err("unexpected second header".into()),
+    }
 }
 
 /// Validates the journal against the session parameters and extracts the
@@ -1009,12 +854,11 @@ fn scan_journal(
     let last = lines.len() - 1;
     for (i, line) in lines.iter().enumerate().skip(1) {
         match WalRecord::from_line(line) {
-            Ok(WalRecord::Header(_)) => {
-                return Err(recovery_err(format!(
-                    "unexpected second header at line {i}"
-                )))
+            Ok(rec) => {
+                check_record(&rec, cfg.procs)
+                    .map_err(|why| recovery_err(format!("WAL line {i}: {why}")))?;
+                records.push(rec);
             }
-            Ok(rec) => records.push(rec),
             // a torn tail is the expected shape of a kill mid-append:
             // the previous commit point is the resume point
             Err(_) if i == last => break,
@@ -1026,8 +870,8 @@ fn scan_journal(
         WalRecord::Exploit(e) => e.batch,
         WalRecord::Header(_) => unreachable!("headers rejected above"),
     };
-    let starts = match records.last() {
-        None => vec![(0, 0); cfg.procs],
+    let (serials, draws) = match records.last() {
+        None => (vec![0; cfg.procs], vec![0; cfg.procs]),
         Some(rec) => {
             let (serials, draws) = match rec {
                 WalRecord::Batch(b) => (&b.serials, &b.draws),
@@ -1037,7 +881,7 @@ fn scan_journal(
             if serials.len() != cfg.procs || draws.len() != cfg.procs {
                 return Err(recovery_err("journal meters do not cover every client"));
             }
-            serials.iter().copied().zip(draws.iter().copied()).collect()
+            (serials.clone(), draws.clone())
         }
     };
     let snapshot = match journal.latest_snapshot().map_err(journal_io)? {
@@ -1057,7 +901,8 @@ fn scan_journal(
         fresh: false,
         snapshot,
         replay: records,
-        starts,
+        serials,
+        draws,
     })
 }
 
@@ -1084,103 +929,17 @@ fn stats_from_array(a: [usize; 6]) -> FaultStats {
     }
 }
 
-/// Serialises the full mid-session state at a batch boundary: session
-/// progress, the optimizer, the objective memo, and (when supervised)
-/// the health tracker.
-#[allow(clippy::too_many_arguments)]
-fn save_snapshot<O: Objective + ?Sized>(
-    optimizer: &dyn Checkpoint,
-    cache: &CachedObjective<'_, O>,
-    health: Option<&HealthTracker>,
-    trace: &TuningTrace,
-    evaluations: usize,
-    quality_curve: &[(usize, f64)],
-    batch_id: u64,
-    fleet: &Fleet,
-) -> Vec<u8> {
-    let mut w = StateWriter::new();
-    w.tag("session");
-    w.u64(batch_id);
-    w.f64_slice(trace.step_times());
-    w.usize(evaluations);
-    w.usize(quality_curve.len());
-    for &(step, q) in quality_curve {
-        w.usize(step);
-        w.f64(q);
-    }
-    w.usize_slice(&fleet.live);
-    w.usize_slice(&stats_to_array(&fleet.stats));
-    optimizer.save_state(&mut w);
-    cache.save_state(&mut w);
-    w.bool(health.is_some());
-    if let Some(h) = health {
-        h.save_state(&mut w);
-    }
-    w.into_bytes()
-}
-
-/// Mirror of [`save_snapshot`]: restores the session state in place.
-#[allow(clippy::too_many_arguments)]
-fn restore_snapshot<O: Objective + ?Sized>(
-    bytes: &[u8],
-    optimizer: &mut dyn Optimizer,
-    cache: &mut CachedObjective<'_, O>,
-    health: Option<&mut HealthTracker>,
-    trace: &mut TuningTrace,
-    evaluations: &mut usize,
-    quality_curve: &mut Vec<(usize, f64)>,
-    batch_id: &mut u64,
-    fleet: &mut Fleet,
-) -> Result<(), ServerError> {
-    let snap = |e: harmony_recovery::CodecError| recovery_err(format!("snapshot: {e}"));
-    let mut r = StateReader::new(bytes).map_err(snap)?;
-    r.tag("session").map_err(snap)?;
-    *batch_id = r.u64().map_err(snap)?;
-    for t_k in r.f64_vec().map_err(snap)? {
-        trace
-            .try_push(t_k)
-            .map_err(|e| recovery_err(format!("snapshot trace: {e}")))?;
-    }
-    *evaluations = r.usize().map_err(snap)?;
-    let n = r.usize().map_err(snap)?;
-    quality_curve.clear();
-    for _ in 0..n {
-        let step = r.usize().map_err(snap)?;
-        let q = r.f64().map_err(snap)?;
-        quality_curve.push((step, q));
-    }
-    fleet.live = r.usize_vec().map_err(snap)?;
-    let stats: [usize; 6] = r
-        .usize_vec()
-        .map_err(snap)?
-        .try_into()
-        .map_err(|_| recovery_err("snapshot stats arity"))?;
-    fleet.stats = stats_from_array(stats);
-    optimizer
-        .as_checkpoint_mut()
-        .ok_or_else(|| recovery_err("optimizer is not checkpointable"))?
-        .restore_state(&mut r)
-        .map_err(snap)?;
-    cache.restore_state(&mut r).map_err(snap)?;
-    let has_health = r.bool().map_err(snap)?;
-    match (has_health, health) {
-        (true, Some(h)) => h.restore_state(&mut r).map_err(snap)?,
-        (false, None) => {}
-        _ => return Err(recovery_err("snapshot supervision flag mismatch")),
-    }
-    r.finish().map_err(snap)
-}
-
 /// Running state of the server's fault handling.
 struct Fleet {
     /// Indices of clients still alive, ascending.
     live: Vec<usize>,
     stats: FaultStats,
-    /// Per-client progress meters `(serial, rng words)`, updated from
-    /// every received event and journaled at each commit point so a
-    /// resumed session respawns clients at the exact stream positions
+    /// Per-client progress meters (task serials and RNG words), updated
+    /// from every received event and journaled at each commit point so
+    /// a resumed session respawns clients at the exact stream positions
     /// the killed run reached.
-    meters: Vec<(usize, u64)>,
+    serials: Vec<usize>,
+    draws: Vec<u64>,
 }
 
 impl Fleet {
@@ -1207,26 +966,13 @@ impl Fleet {
                 serial,
                 draws,
                 ..
-            } => self.meters[client] = (serial, draws),
+            } => {
+                self.serials[client] = serial;
+                self.draws[client] = draws;
+            }
             Event::Died { .. } => {}
         }
     }
-
-    fn serials(&self) -> Vec<usize> {
-        self.meters.iter().map(|&(s, _)| s).collect()
-    }
-
-    fn draws(&self) -> Vec<u64> {
-        self.meters.iter().map(|&(_, d)| d).collect()
-    }
-}
-
-/// How one dispatched assignment resolved.
-enum Resolution {
-    /// An on-time observation.
-    Observed(f64),
-    /// Missed its deadline (late/lost/died); the slot may be retried.
-    Missed,
 }
 
 /// Emits the terminal `server.*` failure event, closes the session span
@@ -1254,7 +1000,7 @@ fn session_fail(tel: &Telemetry, session: Option<u64>, err: ServerError) -> Serv
 /// report.
 fn emit_transitions(
     tel: &Telemetry,
-    transitions: &[harmony_recovery::Transition],
+    transitions: impl IntoIterator<Item = harmony_recovery::Transition>,
     report: &mut SupervisorReport,
 ) {
     for t in transitions {
@@ -1274,827 +1020,766 @@ fn emit_transitions(
     }
 }
 
-/// Computes the dispatch order for one round. Unsupervised sessions
-/// dispatch to every live client in index order; supervised sessions
-/// first advance the breaker clock (emitting any expiry transitions) and
-/// then order live clients closed-first with half-open probes last.
-fn open_round(
-    tel: &Telemetry,
-    health: Option<&mut HealthTracker>,
-    report: &mut SupervisorReport,
-    fleet: &Fleet,
-    trace: &TuningTrace,
-) -> Vec<usize> {
-    match health {
-        Some(h) => {
-            tel.set_clock(trace.len() as u64);
-            let ts = h.begin_round();
-            emit_transitions(tel, &ts, report);
-            h.dispatch_order(&fleet.live)
+/// The number of surviving estimates a batch of `n` points needs to
+/// advance the optimizer: `max(1, ceil(quorum·n))`.
+fn quorum_needed(n: usize, quorum: f64) -> usize {
+    ((quorum * n as f64).ceil() as usize).max(1)
+}
+
+/// Reduces each point's collected samples to its estimate (`None` when
+/// every sample of the point was lost).
+fn reduce_samples(estimator: Estimator, samples: &[Vec<f64>]) -> Vec<Option<f64>> {
+    samples
+        .iter()
+        .map(|s| (!s.is_empty()).then(|| estimator.reduce_available(s)))
+        .collect()
+}
+
+/// One dispatch round's effect on the session — a borrowed
+/// [`RoundDelta`], taken from the live dispatch or from the WAL, so the
+/// live path and replay apply it through the same code.
+struct Round<'r> {
+    /// Barrier time of the round.
+    step: f64,
+    /// Clients dispatched to, one per round position.
+    clients: &'r [usize],
+    /// Per-position: `true` when the slot resolved with an observation.
+    ok: &'r [bool],
+    /// Clients evicted during the round, ascending.
+    evicted: &'r [usize],
+    missed: usize,
+    retries: usize,
+    abandoned: usize,
+    duplicates: usize,
+}
+
+impl<'r> From<&'r RoundDelta> for Round<'r> {
+    fn from(d: &'r RoundDelta) -> Self {
+        Round {
+            step: d.step,
+            clients: &d.clients,
+            ok: &d.ok,
+            evicted: &d.evicted,
+            missed: d.missed,
+            retries: d.retries,
+            abandoned: d.abandoned,
+            duplicates: d.duplicates,
         }
-        None => fleet.live.clone(),
     }
 }
 
-/// The post-round bookkeeping shared by tuning and salvage rounds:
-/// canonical fault telemetry, breaker updates, the supervisor width
-/// floor, and (when journalling) the [`RoundDelta`] capturing exactly
-/// what replay must re-emit.
-#[allow(clippy::too_many_arguments)]
-fn finish_round(
-    tel: &Telemetry,
-    health: Option<&mut HealthTracker>,
-    report: &mut SupervisorReport,
-    rounds_rec: Option<&mut Vec<RoundDelta>>,
-    trace: &TuningTrace,
-    order: &[usize],
-    width: usize,
-    ok_flags: &[bool],
-    live_before: &[usize],
-    fleet: &Fleet,
-    stats_before: FaultStats,
-) {
-    tel.set_clock(trace.len() as u64);
-    emit_round_faults(tel, live_before, fleet, stats_before);
-    if let Some(h) = health {
-        let mut ts = Vec::new();
-        for (&c, &ok) in order[..width].iter().zip(ok_flags) {
-            if let Some(t) = h.record(c, ok) {
-                ts.push(t);
-            }
+impl Round<'_> {
+    fn to_delta(&self) -> RoundDelta {
+        RoundDelta {
+            step: self.step,
+            clients: self.clients.to_vec(),
+            ok: self.ok.to_vec(),
+            evicted: self.evicted.to_vec(),
+            missed: self.missed,
+            retries: self.retries,
+            abandoned: self.abandoned,
+            duplicates: self.duplicates,
         }
-        emit_transitions(tel, &ts, report);
-    }
-    // Per-round batch latency for the metrics layer. WAL replay emits
-    // the matching sample from `RoundDelta::step` at the same position,
-    // keeping resumed traces byte-identical.
-    if tel.enabled() {
-        if let Some(&step) = trace.step_times().last() {
-            tel.sample("server.step_time", step);
-        }
-    }
-    report.min_width = report.min_width.min(width);
-    if let Some(rec) = rounds_rec {
-        let evicted = live_before
-            .iter()
-            .copied()
-            .filter(|c| !fleet.live.contains(c))
-            .collect();
-        rec.push(RoundDelta {
-            step: *trace.step_times().last().expect("round pushed a step"),
-            clients: order[..width].to_vec(),
-            ok: ok_flags.to_vec(),
-            evicted,
-            missed: fleet.stats.missed_reports - stats_before.missed_reports,
-            retries: fleet.stats.retries - stats_before.retries,
-            abandoned: fleet.stats.abandoned_slots - stats_before.abandoned_slots,
-            duplicates: fleet.stats.duplicate_reports - stats_before.duplicate_reports,
-        });
     }
 }
 
-/// Emits the fault handling of one dispatch round in canonical order:
-/// evictions ascending by client index (diff of the live set), then the
-/// per-round miss/retry/abandon/duplicate deltas. Client events arrive
-/// in scheduling-dependent order, so deriving the emission from
-/// post-round *state* is what keeps traces byte-identical across runs.
-fn emit_round_faults(tel: &Telemetry, live_before: &[usize], fleet: &Fleet, before: FaultStats) {
-    if !tel.enabled() {
-        return;
-    }
-    for &client in live_before {
-        if !fleet.live.contains(&client) {
-            event!(tel, "server.evict", client = client);
-        }
-    }
-    let after = fleet.stats;
-    let delta = after.missed_reports - before.missed_reports;
-    if delta > 0 {
-        event!(tel, "server.miss", count = delta);
-    }
-    let delta = after.retries - before.retries;
-    if delta > 0 {
-        event!(tel, "server.retry", count = delta);
-    }
-    let delta = after.abandoned_slots - before.abandoned_slots;
-    if delta > 0 {
-        event!(tel, "server.abandon", count = delta);
-    }
-    let delta = after.duplicate_reports - before.duplicate_reports;
-    if delta > 0 {
-        tel.counter("server.duplicate_reports", delta as u64);
-    }
+/// How a dispatch treats a missed assignment.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Retry {
+    /// Tuning rounds: requeue the slot with the next attempt number
+    /// until `max_retries`, then abandon it; an empty fleet is
+    /// [`ServerError::AllClientsDead`].
+    Requeue,
+    /// Supervisor salvage: every dispatch counts as a retry and a miss
+    /// is final; an empty fleet ends the salvage quietly.
+    Salvage,
 }
 
-/// The server side: batch scheduling, deadline/retry accounting,
-/// optimizer advancement, exploit fill — plus, per [`SessionExtras`],
-/// WAL/snapshot persistence with mid-run resume and supervised
-/// degraded-mode operation. With the extras off this is exactly the
-/// legacy resilient session.
-fn serve<O>(
-    objective: &O,
-    optimizer: &mut dyn Optimizer,
+/// The server side of one session: the optimizer loop over the client
+/// channels plus, per [`SessionOptions`], WAL/snapshot persistence with
+/// mid-run resume and supervised degraded-mode operation.
+struct Session<'a, O: Objective + ?Sized> {
     cfg: ServerConfig,
-    clients: &[Sender<Task>],
-    events: &Receiver<Event>,
-    tel: &Telemetry,
-    extras: SessionExtras<'_>,
-) -> Result<SupervisedOutcome, ServerError>
-where
-    O: Objective + ?Sized,
-{
-    let SessionExtras {
-        mut journal,
-        snapshot_every,
-        supervisor,
-        resume,
-        shared_costs,
-    } = extras;
-    // objectives are deterministic (noise is applied per-client), so
-    // memoizing the recommendation probes is exact — the quality curve
-    // and best_true_cost revisit the same points heavily. When a shared
-    // cost tier is attached it sits between the memo and the probe.
-    let mut objective = match shared_costs {
-        Some(db) => CachedObjective::with_shared(objective, db),
-        None => CachedObjective::new(objective),
-    };
-    let mut trace = TuningTrace::new();
-    let mut evaluations = 0usize;
-    let mut quality_curve: Vec<(usize, f64)> = Vec::new();
-    let mut fleet = Fleet {
-        live: (0..clients.len()).collect(),
-        stats: FaultStats::default(),
-        meters: resume.starts.clone(),
-    };
-    let k = cfg.estimator.samples();
-    let mut batch_id = 0u64;
-    let mut health = supervisor.map(|sc| HealthTracker::new(clients.len(), sc));
-    let mut report = SupervisorReport {
-        min_width: usize::MAX,
-        ..SupervisorReport::default()
-    };
-    let session = tel.enabled().then(|| {
-        tel.set_clock(0);
-        tel.span_open(
-            "server.session",
-            vec![
-                Field::new("procs", cfg.procs),
-                Field::new("max_steps", cfg.max_steps),
-                Field::new("k", k),
-                Field::new("seed", cfg.seed),
-            ],
-        )
-    });
+    k: usize,
+    tel: &'a Telemetry,
+    clients: &'a [Sender<Task>],
+    events: &'a Receiver<Event>,
+    journal: Option<&'a mut SessionJournal>,
+    snapshot_every: u64,
+    supervisor: Option<SupervisorConfig>,
+    shared_costs: Option<&'a SharedPerfDb>,
+    objective: CachedObjective<'a, O>,
+    trace: TuningTrace,
+    evaluations: usize,
+    quality_curve: Vec<(usize, f64)>,
+    fleet: Fleet,
+    batch_id: u64,
+    health: Option<HealthTracker>,
+    report: SupervisorReport,
+}
 
-    // ---- resume: restore the snapshot, then replay the WAL tail ----
-    if let Some(bytes) = &resume.snapshot {
-        if let Err(e) = restore_snapshot(
-            bytes,
-            optimizer,
-            &mut objective,
-            health.as_mut(),
-            &mut trace,
-            &mut evaluations,
-            &mut quality_curve,
-            &mut batch_id,
-            &mut fleet,
-        ) {
-            return Err(session_fail(tel, session, e));
-        }
-    }
-    for rec in &resume.replay {
-        match rec {
-            WalRecord::Batch(b) => {
-                tel.set_clock(trace.len() as u64);
-                let batch = optimizer.propose();
-                if batch.len() != b.estimates.len() {
-                    return Err(session_fail(
-                        tel,
-                        session,
-                        recovery_err(format!(
-                            "replayed batch {} proposes {} points, WAL has {}",
-                            b.batch,
-                            batch.len(),
-                            b.estimates.len()
-                        )),
-                    ));
-                }
-                batch_id = b.batch;
-                for round in &b.rounds {
-                    if let Some(h) = health.as_mut() {
-                        tel.set_clock(trace.len() as u64);
-                        let ts = h.begin_round();
-                        emit_transitions(tel, &ts, &mut report);
-                    }
-                    report.min_width = report.min_width.min(round.clients.len());
-                    trace.push(round.step);
-                    tel.set_clock(trace.len() as u64);
-                    for &c in &round.evicted {
-                        event!(tel, "server.evict", client = c);
-                    }
-                    if round.missed > 0 {
-                        event!(tel, "server.miss", count = round.missed);
-                    }
-                    if round.retries > 0 {
-                        event!(tel, "server.retry", count = round.retries);
-                    }
-                    if round.abandoned > 0 {
-                        event!(tel, "server.abandon", count = round.abandoned);
-                    }
-                    if round.duplicates > 0 {
-                        tel.counter("server.duplicate_reports", round.duplicates as u64);
-                    }
-                    if let Some(h) = health.as_mut() {
-                        let mut ts = Vec::new();
-                        for (&c, &ok) in round.clients.iter().zip(&round.ok) {
-                            if let Some(t) = h.record(c, ok) {
-                                ts.push(t);
-                            }
-                        }
-                        emit_transitions(tel, &ts, &mut report);
-                    }
-                    // mirrors the live emission in `finish_round`
-                    if tel.enabled() {
-                        tel.sample("server.step_time", round.step);
-                    }
-                }
-                evaluations = b.evaluations;
-                fleet.live = b.live.clone();
-                fleet.stats = stats_from_array(b.stats);
-                let reported = b.estimates.iter().filter(|e| e.is_some()).count();
-                // mirrors the live per-batch estimate dispersion samples
-                if tel.enabled() {
-                    for v in b.estimates.iter().flatten() {
-                        tel.sample("server.estimate", *v);
-                    }
-                }
-                if b.forced {
-                    report.forced_batches += 1;
-                    event!(
-                        tel,
-                        "recovery.forced_partial",
-                        reported = reported,
-                        total = b.estimates.len()
-                    );
-                    optimizer.observe_partial(&b.estimates);
-                } else if reported == b.estimates.len() {
-                    let complete: Vec<f64> = b.estimates.iter().map(|e| e.unwrap()).collect();
-                    optimizer.observe(&complete);
-                } else {
-                    event!(
-                        tel,
-                        "server.partial_batch",
-                        reported = reported,
-                        total = b.estimates.len()
-                    );
-                    optimizer.observe_partial(&b.estimates);
-                }
-                event!(
-                    tel,
-                    "server.batch",
-                    batch = batch_id,
-                    points = batch.len(),
-                    steps = trace.len(),
-                    live = fleet.live.len()
-                );
-                if let Some((rec_point, _)) = optimizer.recommendation() {
-                    quality_curve.push((trace.len(), objective.eval(&rec_point)));
-                }
-            }
-            WalRecord::Exploit(e) => {
-                tel.set_clock(trace.len() as u64);
-                for &c in &e.pre_evicted {
-                    event!(tel, "server.evict", client = c);
-                }
-                batch_id = e.batch;
-                if e.duplicate {
-                    tel.counter("server.duplicate_reports", 1);
-                }
-                match e.kind {
-                    ExploitKind::OnTime => {}
-                    ExploitKind::Late | ExploitKind::Lost => {
-                        event!(tel, "server.miss", count = 1usize);
-                    }
-                    ExploitKind::Died(c) => {
-                        event!(tel, "server.evict", client = c);
-                        event!(tel, "server.miss", count = 1usize);
-                    }
-                }
-                trace.push(e.step);
-                fleet.live = e.live.clone();
-                fleet.stats = stats_from_array(e.stats);
-            }
-            WalRecord::Header(_) => unreachable!("scan_journal rejects stray headers"),
-        }
-    }
-
-    while trace.len() < cfg.max_steps && !optimizer.converged() {
-        tel.set_clock(trace.len() as u64);
-        let batch = optimizer.propose();
-        if batch.is_empty() {
-            break;
-        }
-        batch_id += 1;
-        let mut rounds_rec: Vec<RoundDelta> = Vec::new();
-        // flat (point, sample) slots, packed densely over live clients;
-        // missed slots requeue with the next attempt number
-        let mut pending: std::collections::VecDeque<(usize, u32)> =
-            (0..batch.len() * k).map(|s| (s, 0)).collect();
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(k); batch.len()];
-        while !pending.is_empty() {
-            if fleet.live.is_empty() {
-                return Err(session_fail(
-                    tel,
-                    session,
-                    ServerError::AllClientsDead { step: trace.len() },
-                ));
-            }
-            let order = open_round(tel, health.as_mut(), &mut report, &fleet, &trace);
-            let take = order.len().min(pending.len());
-            let round: Vec<(usize, u32)> = pending.drain(..take).collect();
-            let live_before = fleet.live.clone();
-            let stats_before = fleet.stats;
-            let resolutions = match run_round(
-                &round,
-                &order,
-                batch_id,
-                &batch,
-                k,
-                cfg,
-                clients,
-                events,
-                &mut fleet,
-                &mut trace,
-                &mut evaluations,
-            ) {
-                Ok(r) => r,
-                Err(e) => return Err(session_fail(tel, session, e)),
-            };
-            let ok_flags: Vec<bool> = resolutions
-                .iter()
-                .map(|r| matches!(r, Resolution::Observed(_)))
-                .collect();
-            for (&(slot, attempt), resolution) in round.iter().zip(resolutions) {
-                match resolution {
-                    Resolution::Observed(obs) => samples[slot / k].push(obs),
-                    Resolution::Missed => {
-                        fleet.stats.missed_reports += 1;
-                        if attempt < cfg.max_retries {
-                            fleet.stats.retries += 1;
-                            pending.push_back((slot, attempt + 1));
-                        } else {
-                            fleet.stats.abandoned_slots += 1;
-                        }
-                    }
-                }
-            }
-            finish_round(
+impl<O: Objective + ?Sized> Session<'_, O> {
+    /// Runs the session inside its `server.session` span; every error
+    /// closes the span behind a terminal event.
+    fn run(
+        mut self,
+        optimizer: &mut dyn Optimizer,
+        resume: &ResumePlan,
+    ) -> Result<SupervisedOutcome, ServerError> {
+        let tel = self.tel;
+        let span = tel.enabled().then(|| {
+            tel.set_clock(0);
+            tel.span_open(
+                "server.session",
+                vec![
+                    Field::new("procs", self.cfg.procs),
+                    Field::new("max_steps", self.cfg.max_steps),
+                    Field::new("k", self.k),
+                    Field::new("seed", self.cfg.seed),
+                ],
+            )
+        });
+        let (best_point, best_estimate, best_true_cost) = self
+            .drive(optimizer, resume)
+            .map_err(|e| session_fail(tel, span, e))?;
+        if let Some(id) = span {
+            tel.set_clock(self.trace.len() as u64);
+            event!(
                 tel,
-                health.as_mut(),
-                &mut report,
-                journal.is_some().then_some(&mut rounds_rec),
-                &trace,
-                &order,
-                round.len(),
-                &ok_flags,
-                &live_before,
-                &fleet,
-                stats_before,
+                "server.done",
+                batches = self.batch_id,
+                evaluations = self.evaluations,
+                best = best_true_cost,
+                evicted = self.fleet.stats.evicted_clients,
+                converged = optimizer.converged()
             );
-        }
-        let mut estimates: Vec<Option<f64>> = samples
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    None
-                } else {
-                    Some(cfg.estimator.reduce_available(s))
-                }
-            })
-            .collect();
-        let mut reported = estimates.iter().filter(|e| e.is_some()).count();
-        let needed = quorum_needed(batch.len(), cfg.quorum);
-        if reported < needed {
-            if let Some(sup) = supervisor {
-                // salvage: re-dispatch each missing point's first sample
-                // slot with attempt numbers past the retry budget, so the
-                // deadline charge keeps escalating; re-reduce after every
-                // salvage round before deciding whether to try again
-                let mut salvage = 0u32;
-                while reported < needed && salvage < sup.salvage_retries && !fleet.live.is_empty() {
-                    let mut missing: std::collections::VecDeque<(usize, u32)> = estimates
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.is_none())
-                        .map(|(i, _)| (i * k, cfg.max_retries + 1 + salvage))
-                        .collect();
-                    while !missing.is_empty() && !fleet.live.is_empty() {
-                        let order = open_round(tel, health.as_mut(), &mut report, &fleet, &trace);
-                        let take = order.len().min(missing.len());
-                        let round: Vec<(usize, u32)> = missing.drain(..take).collect();
-                        let live_before = fleet.live.clone();
-                        let stats_before = fleet.stats;
-                        fleet.stats.retries += round.len();
-                        let resolutions = match run_round(
-                            &round,
-                            &order,
-                            batch_id,
-                            &batch,
-                            k,
-                            cfg,
-                            clients,
-                            events,
-                            &mut fleet,
-                            &mut trace,
-                            &mut evaluations,
-                        ) {
-                            Ok(r) => r,
-                            Err(e) => return Err(session_fail(tel, session, e)),
-                        };
-                        let ok_flags: Vec<bool> = resolutions
-                            .iter()
-                            .map(|r| matches!(r, Resolution::Observed(_)))
-                            .collect();
-                        for (&(slot, _), resolution) in round.iter().zip(resolutions) {
-                            match resolution {
-                                Resolution::Observed(obs) => samples[slot / k].push(obs),
-                                Resolution::Missed => fleet.stats.missed_reports += 1,
-                            }
-                        }
-                        finish_round(
-                            tel,
-                            health.as_mut(),
-                            &mut report,
-                            journal.is_some().then_some(&mut rounds_rec),
-                            &trace,
-                            &order,
-                            round.len(),
-                            &ok_flags,
-                            &live_before,
-                            &fleet,
-                            stats_before,
-                        );
-                    }
-                    estimates = samples
-                        .iter()
-                        .map(|s| {
-                            if s.is_empty() {
-                                None
-                            } else {
-                                Some(cfg.estimator.reduce_available(s))
-                            }
-                        })
-                        .collect();
-                    reported = estimates.iter().filter(|e| e.is_some()).count();
-                    salvage += 1;
+            self.objective.emit_telemetry(tel);
+            self.trace.emit_telemetry(tel, None);
+            // Shared-tier flush contention is scheduling-dependent, so it
+            // is excluded from SharedPerfDb::stats and only surfaced here
+            // when the caller explicitly opted into the wall channel.
+            if tel.wall_enabled() {
+                if let Some(db) = self.shared_costs {
+                    tel.counter("shareddb.contended", db.stats_contended());
                 }
             }
+            tel.span_close(id);
         }
-        let forced = reported < needed && reported > 0 && supervisor.is_some();
+        self.report.degraded = self.report.forced_batches > 0 || self.report.breaker_opens > 0;
+        Ok(SupervisedOutcome {
+            outcome: TuningOutcome {
+                trace: self.trace,
+                steps_budget: self.cfg.max_steps,
+                best_point,
+                best_estimate,
+                best_true_cost,
+                converged: optimizer.converged(),
+                evaluations: self.evaluations,
+                quality_curve: self.quality_curve,
+                faults: self.fleet.stats,
+            },
+            supervisor: self.report,
+        })
+    }
+
+    /// Resume (snapshot, then WAL tail), tune, exploit. Returns the
+    /// deployed point, its estimate and its true cost.
+    fn drive(
+        &mut self,
+        optimizer: &mut dyn Optimizer,
+        resume: &ResumePlan,
+    ) -> Result<(Point, f64, f64), ServerError> {
+        if let Some(bytes) = &resume.snapshot {
+            self.restore_snapshot(bytes, optimizer)?;
+        }
+        for rec in &resume.replay {
+            match rec {
+                WalRecord::Batch(b) => {
+                    self.tel.set_clock(self.trace.len() as u64);
+                    let proposed = optimizer.propose().len();
+                    if proposed != b.estimates.len() {
+                        return Err(recovery_err(format!(
+                            "replayed batch {} proposes {proposed} points, WAL has {}",
+                            b.batch,
+                            b.estimates.len()
+                        )));
+                    }
+                    self.batch_id = b.batch;
+                    for round in &b.rounds {
+                        self.open_round();
+                        self.apply_round(&Round::from(round));
+                    }
+                    self.evaluations = b.evaluations;
+                    self.fleet.live.clone_from(&b.live);
+                    self.fleet.stats = stats_from_array(b.stats);
+                    self.commit_batch(optimizer, &b.estimates, b.forced);
+                }
+                WalRecord::Exploit(e) => {
+                    self.batch_id = e.batch;
+                    self.apply_exploit(e.step, &e.pre_evicted, e.duplicate, e.kind);
+                    self.fleet.live.clone_from(&e.live);
+                    self.fleet.stats = stats_from_array(e.stats);
+                }
+                WalRecord::Header(_) => unreachable!("scan_journal rejects stray headers"),
+            }
+        }
+        while self.trace.len() < self.cfg.max_steps && !optimizer.converged() {
+            self.tel.set_clock(self.trace.len() as u64);
+            let batch = optimizer.propose();
+            if batch.is_empty() {
+                break;
+            }
+            self.run_batch(optimizer, &batch)?;
+        }
+        let Some((best_point, best_estimate)) = optimizer.recommendation() else {
+            return Err(ServerError::NoObservations);
+        };
+        let best_true_cost = self.objective.eval(&best_point);
+        self.exploit(&best_point)?;
+        Ok((best_point, best_estimate, best_true_cost))
+    }
+
+    /// Dispatches one optimizer batch until every `(point, sample)` slot
+    /// resolved, salvages it under supervision when it falls below
+    /// quorum, journals it, and commits it.
+    fn run_batch(
+        &mut self,
+        optimizer: &mut dyn Optimizer,
+        batch: &[Point],
+    ) -> Result<(), ServerError> {
+        self.batch_id += 1;
+        let k = self.k;
+        let mut rounds: Vec<RoundDelta> = Vec::new();
+        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(k); batch.len()];
+        // flat (point, sample) slots, packed densely over live clients
+        let slots = (0..batch.len() * k).map(|s| (s, 0)).collect();
+        self.dispatch(batch, slots, Retry::Requeue, &mut samples, &mut rounds)?;
+        let mut estimates = reduce_samples(self.cfg.estimator, &samples);
+        let reported = |e: &[Option<f64>]| e.iter().flatten().count();
+        let needed = quorum_needed(batch.len(), self.cfg.quorum);
+        if let Some(sup) = self.supervisor {
+            // salvage: re-dispatch each missing point's first sample
+            // slot with attempt numbers past the retry budget, so the
+            // deadline charge keeps escalating; re-reduce after every
+            // salvage round before deciding whether to try again
+            let mut salvage = 0u32;
+            while reported(&estimates) < needed
+                && salvage < sup.salvage_retries
+                && !self.fleet.live.is_empty()
+            {
+                let attempt = self.cfg.max_retries + 1 + salvage;
+                let missing = estimates
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.is_none())
+                    .map(|(i, _)| (i * k, attempt))
+                    .collect();
+                self.dispatch(batch, missing, Retry::Salvage, &mut samples, &mut rounds)?;
+                estimates = reduce_samples(self.cfg.estimator, &samples);
+                salvage += 1;
+            }
+        }
+        let reported = reported(&estimates);
+        let forced = reported < needed && reported > 0 && self.supervisor.is_some();
         if reported < needed && !forced {
-            return Err(session_fail(
-                tel,
-                session,
-                ServerError::QuorumNotReached {
-                    step: trace.len(),
-                    reported,
-                    needed,
-                },
-            ));
+            return Err(ServerError::QuorumNotReached {
+                step: self.trace.len(),
+                reported,
+                needed,
+            });
         }
         let partial = !forced && reported < batch.len();
         if partial {
-            fleet.stats.partial_batches += 1;
+            self.fleet.stats.partial_batches += 1;
         }
         // write-ahead commit point: the record lands *before* the
         // optimizer advances, so a kill on either side of `observe`
         // replays to the same state
-        if let Some(j) = journal.as_deref_mut() {
-            if let Err(e) = journal_append(
-                j,
-                WalRecord::Batch(BatchRecord {
-                    batch: batch_id,
-                    estimates: estimates.clone(),
-                    rounds: std::mem::take(&mut rounds_rec),
-                    partial,
-                    forced,
-                    evaluations,
-                    live: fleet.live.clone(),
-                    serials: fleet.serials(),
-                    draws: fleet.draws(),
-                    stats: stats_to_array(&fleet.stats),
-                }),
-            ) {
-                return Err(session_fail(tel, session, e));
+        if let Some(j) = self.journal.as_deref_mut() {
+            let record = BatchRecord {
+                batch: self.batch_id,
+                estimates: estimates.clone(),
+                rounds,
+                partial,
+                forced,
+                evaluations: self.evaluations,
+                live: self.fleet.live.clone(),
+                serials: self.fleet.serials.clone(),
+                draws: self.fleet.draws.clone(),
+                stats: stats_to_array(&self.fleet.stats),
+            };
+            journal_append(j, WalRecord::Batch(record))?;
+        }
+        self.commit_batch(optimizer, &estimates, forced);
+        let due = self.snapshot_every > 0 && self.batch_id.is_multiple_of(self.snapshot_every);
+        if let (true, Some(ckpt)) = (due && self.journal.is_some(), optimizer.as_checkpoint()) {
+            let bytes = self.save_snapshot(ckpt);
+            if let Some(j) = self.journal.as_deref_mut() {
+                j.put_snapshot(self.batch_id, &bytes).map_err(journal_io)?;
             }
         }
-        // Per-batch estimate dispersion (observed Total_Time spread) for
-        // the metrics layer, in canonical slot order. Replay emits the
-        // identical samples from the WAL record before its observe call.
+        Ok(())
+    }
+
+    /// Dispatches `pending` slots in rounds over the live clients,
+    /// folding observations into `samples` and, when journalling, each
+    /// round's delta into `rounds`. `retry` decides what a miss does.
+    fn dispatch(
+        &mut self,
+        batch: &[Point],
+        mut pending: VecDeque<(usize, u32)>,
+        retry: Retry,
+        samples: &mut [Vec<f64>],
+        rounds: &mut Vec<RoundDelta>,
+    ) -> Result<(), ServerError> {
+        while !pending.is_empty() {
+            if self.fleet.live.is_empty() {
+                return match retry {
+                    Retry::Requeue => Err(ServerError::AllClientsDead {
+                        step: self.trace.len(),
+                    }),
+                    Retry::Salvage => Ok(()),
+                };
+            }
+            let order = self.open_round();
+            let take = order.len().min(pending.len());
+            let round: Vec<(usize, u32)> = pending.drain(..take).collect();
+            let live_before = self.fleet.live.clone();
+            let before = self.fleet.stats;
+            if retry == Retry::Salvage {
+                self.fleet.stats.retries += round.len();
+            }
+            let (observed, step) = self.run_round(&round, &order, batch)?;
+            let stats = &mut self.fleet.stats;
+            for (&(slot, attempt), obs) in round.iter().zip(&observed) {
+                match obs {
+                    Some(v) => samples[slot / self.k].push(*v),
+                    None => {
+                        stats.missed_reports += 1;
+                        if retry == Retry::Requeue {
+                            if attempt < self.cfg.max_retries {
+                                stats.retries += 1;
+                                pending.push_back((slot, attempt + 1));
+                            } else {
+                                stats.abandoned_slots += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            let ok: Vec<bool> = observed.iter().map(Option::is_some).collect();
+            let evicted: Vec<usize> = live_before
+                .into_iter()
+                .filter(|c| !self.fleet.live.contains(c))
+                .collect();
+            let after = self.fleet.stats;
+            let delta = Round {
+                step,
+                clients: &order[..round.len()],
+                ok: &ok,
+                evicted: &evicted,
+                missed: after.missed_reports - before.missed_reports,
+                retries: after.retries - before.retries,
+                abandoned: after.abandoned_slots - before.abandoned_slots,
+                duplicates: after.duplicate_reports - before.duplicate_reports,
+            };
+            self.apply_round(&delta);
+            if self.journal.is_some() {
+                rounds.push(delta.to_delta());
+            }
+        }
+        Ok(())
+    }
+
+    /// Sends one round of assignments (one per client in `order`) and
+    /// collects until every one of them resolves. Returns the
+    /// per-assignment observations in round order (`None` = missed) and
+    /// the round's barrier time: the worst on-time observation, with
+    /// misses charging the backoff-escalated deadline.
+    fn run_round(
+        &mut self,
+        round: &[(usize, u32)],
+        order: &[usize],
+        batch: &[Point],
+    ) -> Result<(Vec<Option<f64>>, f64), ServerError> {
+        let cfg = self.cfg;
+        let charge = |attempt: u32| cfg.deadline * cfg.backoff.powi(attempt as i32);
+        let mut outstanding: HashMap<Assignment, usize> = HashMap::with_capacity(round.len());
+        let mut observed: Vec<Option<f64>> = vec![None; round.len()];
+        let mut t_k = f64::NEG_INFINITY;
+        for (pos, (&client, &(slot, attempt))) in order.iter().zip(round).enumerate() {
+            let assign = Assignment {
+                batch: self.batch_id,
+                slot,
+                attempt,
+            };
+            let point = batch[slot / self.k].clone();
+            if self.clients[client]
+                .send(Task::Run { assign, point })
+                .is_err()
+            {
+                // client thread already gone (defensive: normally Died
+                // is seen first) — immediate miss, evict
+                self.fleet.evict(client);
+                t_k = t_k.max(charge(attempt));
+                continue;
+            }
+            outstanding.insert(assign, pos);
+        }
+        while !outstanding.is_empty() {
+            let event = self
+                .events
+                .recv()
+                .map_err(|_| ServerError::AllClientsDead {
+                    step: self.trace.len(),
+                })?;
+            self.fleet.note(&event);
+            let (assign, obs, duplicate) = match event {
+                Event::Report {
+                    assign,
+                    observed,
+                    late: false,
+                    duplicate,
+                    ..
+                } => (assign, Some(observed), duplicate),
+                Event::Report { assign, .. } | Event::Lost { assign, .. } => (assign, None, false),
+                Event::Died { client, assign } => {
+                    self.fleet.evict(client);
+                    if outstanding.remove(&assign).is_some() {
+                        t_k = t_k.max(charge(assign.attempt));
+                    }
+                    continue;
+                }
+            };
+            // a non-outstanding assignment is a stale or extra copy of an
+            // already-resolved one: de-duplicated by the (batch, slot,
+            // attempt) key and discarded silently
+            if let Some(pos) = outstanding.remove(&assign) {
+                self.evaluations += 1;
+                if duplicate {
+                    // counted on the matched copy: the extra copy may or
+                    // may not ever be read (it can still be in flight at
+                    // shutdown), so counting discarded copies would make
+                    // the statistic scheduling-dependent
+                    self.fleet.stats.duplicate_reports += 1;
+                }
+                t_k = t_k.max(obs.unwrap_or_else(|| charge(assign.attempt)));
+                observed[pos] = obs;
+            }
+        }
+        Ok((observed, t_k))
+    }
+
+    /// Opens a dispatch round and returns its dispatch order. An
+    /// unsupervised session dispatches to every live client in index
+    /// order; a supervised one first advances the breaker clock
+    /// (emitting any expiry transitions), then orders closed breakers
+    /// first and half-open probes last.
+    fn open_round(&mut self) -> Vec<usize> {
+        let Some(h) = self.health.as_mut() else {
+            return self.fleet.live.clone();
+        };
+        self.tel.set_clock(self.trace.len() as u64);
+        emit_transitions(self.tel, h.begin_round(), &mut self.report);
+        h.dispatch_order(&self.fleet.live)
+    }
+
+    /// Applies one finished dispatch round: pushes its barrier time,
+    /// emits its fault handling in canonical order (evictions ascending,
+    /// then the miss/retry/abandon/duplicate deltas), records breaker
+    /// outcomes, and tracks the narrowest width. Client events arrive in
+    /// scheduling-dependent order, so deriving the emission from the
+    /// round's post-state is what keeps traces byte-identical.
+    fn apply_round(&mut self, round: &Round<'_>) {
+        let tel = self.tel;
+        self.trace.push(round.step);
+        tel.set_clock(self.trace.len() as u64);
+        for &client in round.evicted {
+            event!(tel, "server.evict", client = client);
+        }
+        if round.missed > 0 {
+            event!(tel, "server.miss", count = round.missed);
+        }
+        if round.retries > 0 {
+            event!(tel, "server.retry", count = round.retries);
+        }
+        if round.abandoned > 0 {
+            event!(tel, "server.abandon", count = round.abandoned);
+        }
+        if round.duplicates > 0 {
+            tel.counter("server.duplicate_reports", round.duplicates as u64);
+        }
+        if let Some(h) = self.health.as_mut() {
+            let outcomes = round.clients.iter().zip(round.ok);
+            let transitions = outcomes.filter_map(|(&c, &ok)| h.record(c, ok));
+            emit_transitions(tel, transitions, &mut self.report);
+        }
+        // per-round batch latency for the metrics layer
+        if tel.enabled() {
+            tel.sample("server.step_time", round.step);
+        }
+        self.report.min_width = self.report.min_width.min(round.clients.len());
+    }
+
+    /// Advances the optimizer with a batch's estimates — complete,
+    /// partial, or forced below quorum by the supervisor — and records
+    /// the batch's telemetry and quality point.
+    fn commit_batch(
+        &mut self,
+        optimizer: &mut dyn Optimizer,
+        estimates: &[Option<f64>],
+        forced: bool,
+    ) {
+        let tel = self.tel;
+        let total = estimates.len();
+        let reported = estimates.iter().flatten().count();
+        // per-batch estimate dispersion (observed Total_Time spread) for
+        // the metrics layer, in canonical slot order
         if tel.enabled() {
             for v in estimates.iter().flatten() {
                 tel.sample("server.estimate", *v);
             }
         }
         if forced {
-            report.forced_batches += 1;
+            self.report.forced_batches += 1;
             event!(
                 tel,
                 "recovery.forced_partial",
                 reported = reported,
-                total = batch.len()
+                total = total
             );
-            optimizer.observe_partial(&estimates);
-        } else if reported == batch.len() {
-            let complete: Vec<f64> = estimates.into_iter().map(|e| e.unwrap()).collect();
+            optimizer.observe_partial(estimates);
+        } else if reported == total {
+            let complete: Vec<f64> = estimates.iter().flatten().copied().collect();
             optimizer.observe(&complete);
         } else {
             event!(
                 tel,
                 "server.partial_batch",
                 reported = reported,
-                total = batch.len()
+                total = total
             );
-            optimizer.observe_partial(&estimates);
+            optimizer.observe_partial(estimates);
         }
         event!(
             tel,
             "server.batch",
-            batch = batch_id,
-            points = batch.len(),
-            steps = trace.len(),
-            live = fleet.live.len()
+            batch = self.batch_id,
+            points = total,
+            steps = self.trace.len(),
+            live = self.fleet.live.len()
         );
         if let Some((rec, _)) = optimizer.recommendation() {
-            quality_curve.push((trace.len(), objective.eval(&rec)));
-        }
-        if snapshot_every > 0 && batch_id.is_multiple_of(snapshot_every) {
-            if let (Some(j), Some(ckpt)) = (journal.as_deref_mut(), optimizer.as_checkpoint()) {
-                let bytes = save_snapshot(
-                    ckpt,
-                    &objective,
-                    health.as_ref(),
-                    &trace,
-                    evaluations,
-                    &quality_curve,
-                    batch_id,
-                    &fleet,
-                );
-                if let Err(e) = j.put_snapshot(batch_id, &bytes) {
-                    return Err(session_fail(tel, session, journal_io(e)));
-                }
-            }
+            self.quality_curve
+                .push((self.trace.len(), self.objective.eval(&rec)));
         }
     }
 
-    let Some((best_point, best_estimate)) = optimizer.recommendation() else {
-        return Err(session_fail(tel, session, ServerError::NoObservations));
-    };
-    let best_true_cost = objective.eval(&best_point);
-
-    // exploit: one live client keeps running the tuned configuration;
-    // if it dies the next live client takes over
-    let mut pre_evicted: Vec<usize> = Vec::new();
-    while trace.len() < cfg.max_steps {
-        let Some(&runner) = fleet.live.first() else {
-            return Err(session_fail(
-                tel,
-                session,
-                ServerError::AllClientsDead { step: trace.len() },
-            ));
-        };
-        tel.set_clock(trace.len() as u64);
-        batch_id += 1;
-        let assign = Assignment {
-            batch: batch_id,
-            slot: 0,
-            attempt: 0,
-        };
-        if clients[runner]
-            .send(Task::Run {
-                assign,
-                point: best_point.clone(),
-            })
-            .is_err()
-        {
-            fleet.evict(runner);
-            event!(tel, "server.evict", client = runner);
-            pre_evicted.push(runner);
-            continue;
-        }
-        let (kind, dup, step_val) = loop {
-            let event = match events.recv() {
-                Err(_) => {
-                    return Err(session_fail(
-                        tel,
-                        session,
-                        ServerError::AllClientsDead { step: trace.len() },
-                    ))
-                }
-                Ok(event) => event,
+    /// Exploit: one live client keeps running the tuned configuration
+    /// for the rest of the budget; if it dies the next live client takes
+    /// over.
+    fn exploit(&mut self, best_point: &Point) -> Result<(), ServerError> {
+        let mut pre_evicted: Vec<usize> = Vec::new();
+        while self.trace.len() < self.cfg.max_steps {
+            let dead = ServerError::AllClientsDead {
+                step: self.trace.len(),
             };
-            fleet.note(&event);
-            match event {
-                Event::Report {
-                    assign: a,
-                    observed,
-                    late,
-                    duplicate,
-                    ..
-                } if a == assign => {
-                    if duplicate {
-                        fleet.stats.duplicate_reports += 1;
-                        tel.counter("server.duplicate_reports", 1);
-                    }
-                    if late {
-                        fleet.stats.missed_reports += 1;
-                        event!(tel, "server.miss", count = 1usize);
-                        trace.push(cfg.deadline);
-                        break (ExploitKind::Late, duplicate, cfg.deadline);
-                    }
-                    trace.push(observed);
-                    break (ExploitKind::OnTime, duplicate, observed);
-                }
-                Event::Lost { assign: a, .. } if a == assign => {
-                    fleet.stats.missed_reports += 1;
-                    event!(tel, "server.miss", count = 1usize);
-                    trace.push(cfg.deadline);
-                    break (ExploitKind::Lost, false, cfg.deadline);
-                }
-                Event::Died { client, assign: a } if a == assign => {
-                    fleet.evict(client);
-                    fleet.stats.missed_reports += 1;
-                    event!(tel, "server.evict", client = client);
-                    event!(tel, "server.miss", count = 1usize);
-                    trace.push(cfg.deadline);
-                    break (ExploitKind::Died(client), false, cfg.deadline);
-                }
-                _ => {} // stale or extra copy: discard silently
-            }
-        };
-        if let Some(j) = journal.as_deref_mut() {
-            if let Err(e) = journal_append(
-                j,
-                WalRecord::Exploit(ExploitRecord {
-                    batch: batch_id,
-                    step: step_val,
-                    pre_evicted: std::mem::take(&mut pre_evicted),
-                    duplicate: dup,
-                    kind,
-                    live: fleet.live.clone(),
-                    serials: fleet.serials(),
-                    draws: fleet.draws(),
-                    stats: stats_to_array(&fleet.stats),
-                }),
-            ) {
-                return Err(session_fail(tel, session, e));
-            }
-        }
-    }
-
-    if let Some(id) = session {
-        tel.set_clock(trace.len() as u64);
-        event!(
-            tel,
-            "server.done",
-            batches = batch_id,
-            evaluations = evaluations,
-            best = best_true_cost,
-            evicted = fleet.stats.evicted_clients,
-            converged = optimizer.converged()
-        );
-        objective.emit_telemetry(tel);
-        trace.emit_telemetry(tel, None);
-        // Shared-tier flush contention is scheduling-dependent, so it is
-        // excluded from SharedPerfDb::stats and only surfaced here when
-        // the caller explicitly opted into the wall channel.
-        if tel.wall_enabled() {
-            if let Some(db) = shared_costs {
-                tel.counter("shareddb.contended", db.stats_contended());
-            }
-        }
-        tel.span_close(id);
-    }
-
-    report.degraded = report.forced_batches > 0 || report.breaker_opens > 0;
-    Ok(SupervisedOutcome {
-        outcome: TuningOutcome {
-            trace,
-            steps_budget: cfg.max_steps,
-            best_point,
-            best_estimate,
-            best_true_cost,
-            converged: optimizer.converged(),
-            evaluations,
-            quality_curve,
-            faults: fleet.stats,
-        },
-        supervisor: report,
-    })
-}
-
-/// Dispatches one round of assignments (one per live client) and
-/// collects until every one of them resolves. Returns the per-assignment
-/// resolutions in round order; pushes the round's barrier time
-/// (worst on-time observation, with misses charging the backoff-escalated
-/// deadline) onto `trace`.
-#[allow(clippy::too_many_arguments)]
-fn run_round(
-    round: &[(usize, u32)],
-    order: &[usize],
-    batch_id: u64,
-    batch: &[Point],
-    k: usize,
-    cfg: ServerConfig,
-    clients: &[Sender<Task>],
-    events: &Receiver<Event>,
-    fleet: &mut Fleet,
-    trace: &mut TuningTrace,
-    evaluations: &mut usize,
-) -> Result<Vec<Resolution>, ServerError> {
-    // deadline charge escalates with the attempt number (backoff)
-    let charge = |attempt: u32| cfg.deadline * cfg.backoff.powi(attempt as i32);
-    let mut outstanding: HashMap<Assignment, usize> = HashMap::with_capacity(round.len());
-    let mut resolutions: Vec<Option<Resolution>> = Vec::with_capacity(round.len());
-    let mut t_k = f64::NEG_INFINITY;
-    let mut waiting = 0usize;
-    for (pos, (&client, &(slot, attempt))) in order.iter().zip(round.iter()).enumerate() {
-        let assign = Assignment {
-            batch: batch_id,
-            slot,
-            attempt,
-        };
-        let point = batch[slot / k].clone();
-        if clients[client].send(Task::Run { assign, point }).is_err() {
-            // client thread already gone (defensive: normally Died is
-            // seen first) — immediate miss, evict
-            fleet.evict(client);
-            resolutions.push(Some(Resolution::Missed));
-            t_k = t_k.max(charge(attempt));
-            continue;
-        }
-        outstanding.insert(assign, pos);
-        resolutions.push(None);
-        waiting += 1;
-    }
-    while waiting > 0 {
-        let event = events
-            .recv()
-            .map_err(|_| ServerError::AllClientsDead { step: trace.len() })?;
-        fleet.note(&event);
-        let (assign, resolution, duplicate) = match event {
-            Event::Report {
-                assign,
-                observed,
-                late: false,
-                duplicate,
-                ..
-            } => (assign, Resolution::Observed(observed), duplicate),
-            Event::Report {
-                assign, late: true, ..
-            } => (assign, Resolution::Missed, false),
-            Event::Lost { assign, .. } => (assign, Resolution::Missed, false),
-            Event::Died { client, assign } => {
-                fleet.evict(client);
-                if let Some(pos) = outstanding.remove(&assign) {
-                    t_k = t_k.max(charge(assign.attempt));
-                    resolutions[pos] = Some(Resolution::Missed);
-                    waiting -= 1;
-                }
+            let Some(&runner) = self.fleet.live.first() else {
+                return Err(dead);
+            };
+            self.batch_id += 1;
+            let assign = Assignment {
+                batch: self.batch_id,
+                slot: 0,
+                attempt: 0,
+            };
+            let point = best_point.clone();
+            if self.clients[runner]
+                .send(Task::Run { assign, point })
+                .is_err()
+            {
+                self.fleet.evict(runner);
+                pre_evicted.push(runner);
                 continue;
             }
-        };
-        // a non-outstanding assignment is a stale or extra copy of an
-        // already-resolved one: de-duplicated by the (batch, slot,
-        // attempt) key and discarded silently
-        if let Some(pos) = outstanding.remove(&assign) {
-            *evaluations += 1;
-            if duplicate {
-                // counted on the matched copy: the extra copy may or may
-                // not ever be read (it can still be in flight at
-                // shutdown), so counting discarded copies would make the
-                // statistic scheduling-dependent
-                fleet.stats.duplicate_reports += 1;
+            let (kind, duplicate, step) = loop {
+                let event = self.events.recv().map_err(|_| dead.clone())?;
+                self.fleet.note(&event);
+                let stats = &mut self.fleet.stats;
+                match event {
+                    Event::Report {
+                        assign: a,
+                        observed,
+                        late,
+                        duplicate,
+                        ..
+                    } if a == assign => {
+                        if duplicate {
+                            stats.duplicate_reports += 1;
+                        }
+                        if late {
+                            stats.missed_reports += 1;
+                            break (ExploitKind::Late, duplicate, self.cfg.deadline);
+                        }
+                        break (ExploitKind::OnTime, duplicate, observed);
+                    }
+                    Event::Lost { assign: a, .. } if a == assign => {
+                        stats.missed_reports += 1;
+                        break (ExploitKind::Lost, false, self.cfg.deadline);
+                    }
+                    Event::Died { client, assign: a } if a == assign => {
+                        stats.missed_reports += 1;
+                        self.fleet.evict(client);
+                        break (ExploitKind::Died(client), false, self.cfg.deadline);
+                    }
+                    _ => {} // stale or extra copy: discard silently
+                }
+            };
+            let pre_evicted = std::mem::take(&mut pre_evicted);
+            self.apply_exploit(step, &pre_evicted, duplicate, kind);
+            if let Some(j) = self.journal.as_deref_mut() {
+                let record = ExploitRecord {
+                    batch: self.batch_id,
+                    step,
+                    pre_evicted,
+                    duplicate,
+                    kind,
+                    live: self.fleet.live.clone(),
+                    serials: self.fleet.serials.clone(),
+                    draws: self.fleet.draws.clone(),
+                    stats: stats_to_array(&self.fleet.stats),
+                };
+                journal_append(j, WalRecord::Exploit(record))?;
             }
-            match resolution {
-                Resolution::Observed(obs) => t_k = t_k.max(obs),
-                Resolution::Missed => t_k = t_k.max(charge(assign.attempt)),
-            }
-            resolutions[pos] = Some(resolution);
-            waiting -= 1;
         }
+        Ok(())
     }
-    trace.push(t_k);
-    Ok(resolutions
-        .into_iter()
-        .map(|r| r.expect("every round assignment resolved"))
-        .collect())
-}
 
-/// The number of surviving estimates a batch of `n` points needs to
-/// advance the optimizer: `max(1, ceil(quorum·n))`.
-fn quorum_needed(n: usize, quorum: f64) -> usize {
-    ((quorum * n as f64).ceil() as usize).max(1)
+    /// Applies one exploit step: emits the evictions of runners whose
+    /// channel was gone, the duplicate and miss handling of the step's
+    /// report, and pushes the step time.
+    fn apply_exploit(
+        &mut self,
+        step: f64,
+        pre_evicted: &[usize],
+        duplicate: bool,
+        kind: ExploitKind,
+    ) {
+        let tel = self.tel;
+        tel.set_clock(self.trace.len() as u64);
+        for &c in pre_evicted {
+            event!(tel, "server.evict", client = c);
+        }
+        if duplicate {
+            tel.counter("server.duplicate_reports", 1);
+        }
+        match kind {
+            ExploitKind::OnTime => {}
+            ExploitKind::Late | ExploitKind::Lost => {
+                event!(tel, "server.miss", count = 1usize);
+            }
+            ExploitKind::Died(c) => {
+                event!(tel, "server.evict", client = c);
+                event!(tel, "server.miss", count = 1usize);
+            }
+        }
+        self.trace.push(step);
+    }
+
+    /// Serialises the full mid-session state at a batch boundary:
+    /// session progress, the optimizer, the objective memo, and (when
+    /// supervised) the health tracker and the supervisor report.
+    fn save_snapshot(&self, optimizer: &dyn Checkpoint) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.tag(SNAPSHOT_TAG);
+        w.u64(self.batch_id);
+        w.f64_slice(self.trace.step_times());
+        w.usize(self.evaluations);
+        w.usize(self.quality_curve.len());
+        for &(step, q) in &self.quality_curve {
+            w.usize(step);
+            w.f64(q);
+        }
+        w.usize_slice(&self.fleet.live);
+        w.usize_slice(&stats_to_array(&self.fleet.stats));
+        optimizer.save_state(&mut w);
+        self.objective.save_state(&mut w);
+        w.bool(self.health.is_some());
+        if let Some(h) = &self.health {
+            h.save_state(&mut w);
+            let r = &self.report;
+            let counts = [
+                r.forced_batches,
+                r.breaker_opens,
+                r.breaker_closes,
+                r.min_width,
+            ];
+            w.usize_slice(&counts);
+        }
+        w.into_bytes()
+    }
+
+    /// Mirror of [`Session::save_snapshot`]: restores the session state
+    /// in place. A snapshot of an older layout is rejected by its tag.
+    fn restore_snapshot(
+        &mut self,
+        bytes: &[u8],
+        optimizer: &mut dyn Optimizer,
+    ) -> Result<(), ServerError> {
+        let snap = |e: harmony_recovery::CodecError| recovery_err(format!("snapshot: {e}"));
+        let mut r = StateReader::new(bytes).map_err(snap)?;
+        r.tag(SNAPSHOT_TAG).map_err(snap)?;
+        self.batch_id = r.u64().map_err(snap)?;
+        for t_k in r.f64_vec().map_err(snap)? {
+            self.trace
+                .try_push(t_k)
+                .map_err(|e| recovery_err(format!("snapshot trace: {e}")))?;
+        }
+        self.evaluations = r.usize().map_err(snap)?;
+        let n = r.usize().map_err(snap)?;
+        self.quality_curve.clear();
+        for _ in 0..n {
+            let step = r.usize().map_err(snap)?;
+            let q = r.f64().map_err(snap)?;
+            self.quality_curve.push((step, q));
+        }
+        self.fleet.live = r.usize_vec().map_err(snap)?;
+        check_clients("snapshot live set", &self.fleet.live, self.cfg.procs, true)
+            .map_err(recovery_err)?;
+        let stats: [usize; 6] = r
+            .usize_vec()
+            .map_err(snap)?
+            .try_into()
+            .map_err(|_| recovery_err("snapshot stats arity"))?;
+        self.fleet.stats = stats_from_array(stats);
+        optimizer
+            .as_checkpoint_mut()
+            .ok_or_else(|| recovery_err("optimizer is not checkpointable"))?
+            .restore_state(&mut r)
+            .map_err(snap)?;
+        self.objective.restore_state(&mut r).map_err(snap)?;
+        let has_health = r.bool().map_err(snap)?;
+        match (has_health, self.health.as_mut()) {
+            (true, Some(h)) => {
+                h.restore_state(&mut r).map_err(snap)?;
+                let [forced_batches, breaker_opens, breaker_closes, min_width]: [usize; 4] = r
+                    .usize_vec()
+                    .map_err(snap)?
+                    .try_into()
+                    .map_err(|_| recovery_err("snapshot report arity"))?;
+                self.report = SupervisorReport {
+                    degraded: false,
+                    forced_batches,
+                    breaker_opens,
+                    breaker_closes,
+                    min_width,
+                };
+            }
+            (false, None) => {}
+            _ => return Err(recovery_err("snapshot supervision flag mismatch")),
+        }
+        r.finish().map_err(snap)
+    }
 }
 
 #[cfg(test)]
@@ -2121,11 +1806,69 @@ mod tests {
         ServerConfig::new(procs, steps, estimator, 42).unwrap()
     }
 
+    /// A bowl session under `opts`.
+    fn session(
+        noise: &Noise,
+        opt: &mut dyn Optimizer,
+        config: ServerConfig,
+        opts: SessionOptions<'_>,
+    ) -> Result<SupervisedOutcome, ServerError> {
+        run_session(&bowl(), noise, opt, config, opts)
+    }
+
+    /// [`session`] reduced to its tuning outcome.
+    fn outcome(
+        noise: &Noise,
+        opt: &mut dyn Optimizer,
+        config: ServerConfig,
+        opts: SessionOptions<'_>,
+    ) -> Result<TuningOutcome, ServerError> {
+        session(noise, opt, config, opts).map(|s| s.outcome)
+    }
+
+    fn faulty(plan: FaultPlan) -> SessionOptions<'static> {
+        SessionOptions {
+            plan,
+            ..SessionOptions::default()
+        }
+    }
+
+    fn traced(plan: FaultPlan, tel: &Telemetry) -> SessionOptions<'static> {
+        SessionOptions {
+            telemetry: tel.clone(),
+            ..faulty(plan)
+        }
+    }
+
+    fn journalled(
+        plan: FaultPlan,
+        journal: &mut SessionJournal,
+        recovery: RecoveryConfig,
+    ) -> SessionOptions<'_> {
+        SessionOptions {
+            journal: Some(journal),
+            recovery,
+            ..faulty(plan)
+        }
+    }
+
+    fn supervised(plan: FaultPlan) -> SessionOptions<'static> {
+        SessionOptions {
+            supervisor: Some(SupervisorConfig::default()),
+            ..faulty(plan)
+        }
+    }
+
     #[test]
     fn distributed_session_finds_optimum() {
-        let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_distributed(&obj, &Noise::None, &mut opt, cfg(Estimator::Single, 80, 8));
+        let out = outcome(
+            &Noise::None,
+            &mut opt,
+            cfg(Estimator::Single, 80, 8),
+            SessionOptions::default(),
+        )
+        .unwrap();
         assert!(out.converged);
         assert_eq!(out.best_point.as_slice(), &[0.0, 0.0]);
         assert_eq!(out.best_true_cost, 1.5);
@@ -2135,11 +1878,17 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let obj = bowl();
         let noise = Noise::paper_default(0.2);
         let run = || {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_distributed(&obj, &noise, &mut opt, cfg(Estimator::MinOfK(2), 60, 4)).total_time()
+            outcome(
+                &noise,
+                &mut opt,
+                cfg(Estimator::MinOfK(2), 60, 4),
+                SessionOptions::default(),
+            )
+            .unwrap()
+            .total_time()
         };
         assert_eq!(run(), run());
     }
@@ -2154,7 +1903,7 @@ mod tests {
         let config = || cfg(Estimator::MinOfK(2), 60, 4);
         let baseline = {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_distributed(&obj, &noise, &mut opt, config())
+            outcome(&noise, &mut opt, config(), SessionOptions::default()).unwrap()
         };
         let costs = SharedPerfDb::new(space(), 4);
         let estimates = SharedPerfDb::new(space(), 4);
@@ -2194,10 +1943,15 @@ mod tests {
         // The 2-D symmetric simplex proposes 4 points; with 64 clients a
         // K=10 batch still fits one step, so the converged trace length
         // matches the K=1 run's.
-        let obj = bowl();
         let steps = |est: Estimator| {
             let mut opt = ProOptimizer::with_defaults(space());
-            let out = run_distributed(&obj, &Noise::None, &mut opt, cfg(est, 50, 64));
+            let out = outcome(
+                &Noise::None,
+                &mut opt,
+                cfg(est, 50, 64),
+                SessionOptions::default(),
+            )
+            .unwrap();
             out.evaluations
         };
         let e1 = steps(Estimator::Single);
@@ -2208,23 +1962,33 @@ mod tests {
 
     #[test]
     fn fewer_procs_than_batch_splits_steps() {
-        let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
         // 4-point batches on 2 clients: every batch takes 2 steps
-        let out = run_distributed(&obj, &Noise::None, &mut opt, cfg(Estimator::Single, 30, 2));
+        let out = outcome(
+            &Noise::None,
+            &mut opt,
+            cfg(Estimator::Single, 30, 2),
+            SessionOptions::default(),
+        )
+        .unwrap();
         assert!(out.trace.len() >= 30);
         assert_eq!(out.best_point.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]
     fn noisy_distributed_session_stays_reasonable() {
-        let obj = bowl();
         let noise = Noise::Pareto {
             alpha: 1.7,
             rho: 0.3,
         };
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_distributed(&obj, &noise, &mut opt, cfg(Estimator::MinOfK(5), 100, 32));
+        let out = outcome(
+            &noise,
+            &mut opt,
+            cfg(Estimator::MinOfK(5), 100, 32),
+            SessionOptions::default(),
+        )
+        .unwrap();
         // heavy noise, but min-of-5 keeps the chosen point decent
         assert!(out.best_true_cost < 4.0, "true={}", out.best_true_cost);
     }
@@ -2258,47 +2022,41 @@ mod tests {
 
     #[test]
     fn all_crashed_clients_is_a_typed_error() {
-        let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
         let plan = FaultPlan::new(3, 1.0, 0.0, 0.0, 0.0);
-        let out = run_resilient(
-            &obj,
+        let out = outcome(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 4),
-            &plan,
+            faulty(plan),
         );
         assert!(matches!(out, Err(ServerError::AllClientsDead { .. })));
     }
 
     #[test]
     fn total_report_loss_fails_quorum() {
-        let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
         // every report is dropped: slots exhaust retries, no estimates
         let plan = FaultPlan::new(5, 0.0, 0.0, 1.0, 0.0);
-        let out = run_resilient(
-            &obj,
+        let out = outcome(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 8),
-            &plan,
+            faulty(plan),
         );
         assert!(matches!(out, Err(ServerError::QuorumNotReached { .. })));
     }
 
     #[test]
     fn session_survives_crashes_by_evicting() {
-        let obj = bowl();
         let mut opt = ProOptimizer::with_defaults(space());
         // half the clients crash early; the session degrades and finishes
         let plan = FaultPlan::new(12, 0.5, 0.0, 0.0, 0.0);
-        let out = run_resilient(
-            &obj,
+        let out = outcome(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 80, 16),
-            &plan,
+            faulty(plan),
         )
         .expect("session survives partial crashes");
         assert!(out.faults.evicted_clients > 0);
@@ -2308,16 +2066,14 @@ mod tests {
 
     #[test]
     fn duplicates_are_deduplicated_and_harmless() {
-        let obj = bowl();
         let noise = Noise::paper_default(0.2);
         let run = |dup: f64| {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_resilient(
-                &obj,
+            outcome(
                 &noise,
                 &mut opt,
                 cfg(Estimator::MinOfK(2), 60, 4),
-                &FaultPlan::new(9, 0.0, 0.0, 0.0, dup),
+                faulty(FaultPlan::new(9, 0.0, 0.0, 0.0, dup)),
             )
             .expect("duplicate-only plan cannot kill a session")
         };
@@ -2332,15 +2088,13 @@ mod tests {
 
     #[test]
     fn hangs_charge_the_deadline_and_retry() {
-        let obj = bowl();
         let run = |hang: f64| {
             let mut opt = ProOptimizer::with_defaults(space());
-            run_resilient(
-                &obj,
+            outcome(
                 &Noise::None,
                 &mut opt,
                 cfg(Estimator::Single, 40, 8),
-                &FaultPlan::new(17, 0.0, hang, 0.0, 0.0),
+                faulty(FaultPlan::new(17, 0.0, hang, 0.0, 0.0)),
             )
             .expect("moderate hang rate survivable")
         };
@@ -2354,30 +2108,27 @@ mod tests {
 
     #[test]
     fn fault_free_resilient_run_matches_run_distributed() {
-        let obj = bowl();
         let noise = Noise::paper_default(0.3);
         let config = cfg(Estimator::MinOfK(2), 70, 6);
         let mut opt_a = ProOptimizer::with_defaults(space());
-        let a = run_distributed(&obj, &noise, &mut opt_a, config);
+        let a = outcome(&noise, &mut opt_a, config, SessionOptions::default()).unwrap();
         let mut opt_b = ProOptimizer::with_defaults(space());
-        let b = run_resilient(&obj, &noise, &mut opt_b, config, &FaultPlan::none()).unwrap();
+        let b = outcome(&noise, &mut opt_b, config, faulty(FaultPlan::none())).unwrap();
         assert_eq!(a, b);
         assert!(b.faults.is_clean());
     }
 
     #[test]
     fn traced_session_matches_untraced_and_counts_faults() {
-        let obj = bowl();
         let plan = FaultPlan::new(12, 0.5, 0.0, 0.0, 0.0);
         let config = cfg(Estimator::Single, 80, 16);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain = run_resilient(&obj, &Noise::None, &mut plain_opt, config, &plan).unwrap();
+        let plain = outcome(&Noise::None, &mut plain_opt, config, faulty(plan)).unwrap();
 
         let (tel, sink) = harmony_telemetry::Telemetry::memory();
         let mut traced_opt = ProOptimizer::with_defaults(space());
-        let traced =
-            run_resilient_traced(&obj, &Noise::None, &mut traced_opt, config, &plan, &tel).unwrap();
+        let traced = outcome(&Noise::None, &mut traced_opt, config, traced(plan, &tel)).unwrap();
 
         assert_eq!(plain, traced, "telemetry must not perturb the session");
         let summary = harmony_telemetry::Summary::from_records(&sink.take());
@@ -2392,17 +2143,14 @@ mod tests {
 
     #[test]
     fn failed_traced_session_emits_terminal_event() {
-        let obj = bowl();
         let plan = FaultPlan::new(3, 1.0, 0.0, 0.0, 0.0);
         let (tel, sink) = harmony_telemetry::Telemetry::memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_resilient_traced(
-            &obj,
+        let out = outcome(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 4),
-            &plan,
-            &tel,
+            traced(plan, &tel),
         );
         assert!(matches!(out, Err(ServerError::AllClientsDead { .. })));
         let summary = harmony_telemetry::Summary::from_records(&sink.take());
@@ -2441,38 +2189,32 @@ mod tests {
 
     #[test]
     fn no_observations_is_a_typed_error() {
-        let obj = bowl();
         let mut opt = NeverProposes(space());
-        let out = run_resilient(
-            &obj,
+        let out = outcome(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 10, 2),
-            &FaultPlan::none(),
+            SessionOptions::default(),
         );
         assert!(matches!(out, Err(ServerError::NoObservations)));
     }
 
     #[test]
     fn fresh_recoverable_run_matches_resilient_and_journals() {
-        let obj = bowl();
         let noise = Noise::paper_default(0.2);
         let config = cfg(Estimator::MinOfK(2), 60, 8);
         let plan = FaultPlan::new(12, 0.4, 0.0, 0.0, 0.0);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain = run_resilient(&obj, &noise, &mut plain_opt, config, &plan).unwrap();
+        let plain = outcome(&noise, &mut plain_opt, config, faulty(plan)).unwrap();
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let journaled = run_recoverable(
-            &obj,
+        let journaled = outcome(
             &noise,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journalled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
@@ -2484,20 +2226,16 @@ mod tests {
 
     #[test]
     fn resume_from_every_kill_point_is_identical() {
-        let obj = bowl();
         let config = cfg(Estimator::Single, 40, 8);
         let plan = FaultPlan::new(12, 0.3, 0.0, 0.2, 0.0);
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(
-            &obj,
+        let full = outcome(
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journalled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
@@ -2507,14 +2245,11 @@ mod tests {
             let mut part = journal.clone();
             part.truncate_records(kill).unwrap();
             let mut opt = ProOptimizer::with_defaults(space());
-            let resumed = run_recoverable(
-                &obj,
+            let resumed = outcome(
                 &Noise::None,
                 &mut opt,
                 config,
-                &plan,
-                &mut part,
-                RecoveryConfig::default(),
+                journalled(plan, &mut part, RecoveryConfig::default()),
             )
             .unwrap();
             assert_eq!(
@@ -2526,22 +2261,20 @@ mod tests {
 
     #[test]
     fn wal_only_resume_re_emits_identical_telemetry() {
-        let obj = bowl();
         let config = cfg(Estimator::Single, 30, 8);
         let plan = FaultPlan::new(7, 0.3, 0.0, 0.0, 0.0);
 
         let (tel, sink) = harmony_telemetry::Telemetry::memory();
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable_traced(
-            &obj,
+        let full = outcome(
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &tel,
-            &mut journal,
-            RecoveryConfig::default(),
+            SessionOptions {
+                telemetry: tel.clone(),
+                ..journalled(plan, &mut journal, RecoveryConfig::default())
+            },
         )
         .unwrap();
         let full_records = sink.take();
@@ -2550,15 +2283,14 @@ mod tests {
         assert_eq!(part.truncate_records(3).unwrap(), 3);
         let (tel2, sink2) = harmony_telemetry::Telemetry::memory();
         let mut opt2 = ProOptimizer::with_defaults(space());
-        let resumed = run_recoverable_traced(
-            &obj,
+        let resumed = outcome(
             &Noise::None,
             &mut opt2,
             config,
-            &plan,
-            &tel2,
-            &mut part,
-            RecoveryConfig::default(),
+            SessionOptions {
+                telemetry: tel2.clone(),
+                ..journalled(plan, &mut part, RecoveryConfig::default())
+            },
         )
         .unwrap();
 
@@ -2572,21 +2304,17 @@ mod tests {
 
     #[test]
     fn snapshot_resume_matches_uninterrupted_outcome() {
-        let obj = bowl();
         let config = cfg(Estimator::Single, 40, 8);
         let plan = FaultPlan::new(12, 0.3, 0.0, 0.2, 0.0);
         let recovery = RecoveryConfig { snapshot_every: 2 };
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(
-            &obj,
+        let full = outcome(
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            recovery,
+            journalled(plan, &mut journal, recovery),
         )
         .unwrap();
 
@@ -2597,14 +2325,11 @@ mod tests {
             let mut part = journal.clone();
             part.truncate_records(kill).unwrap();
             let mut opt = ProOptimizer::with_defaults(space());
-            let resumed = run_recoverable(
-                &obj,
+            let resumed = outcome(
                 &Noise::None,
                 &mut opt,
                 config,
-                &plan,
-                &mut part,
-                recovery,
+                journalled(plan, &mut part, recovery),
             )
             .unwrap();
             assert_eq!(full, resumed, "snapshot resume at record {kill}");
@@ -2613,20 +2338,16 @@ mod tests {
 
     #[test]
     fn torn_final_wal_line_is_dropped_on_resume() {
-        let obj = bowl();
         let config = cfg(Estimator::Single, 30, 8);
         let plan = FaultPlan::new(7, 0.3, 0.0, 0.0, 0.0);
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(
-            &obj,
+        let full = outcome(
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journalled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
@@ -2635,14 +2356,11 @@ mod tests {
         // a kill mid-append leaves a torn, unparsable tail line
         part.append_wal("{\"t\":\"batch\",\"b\":9,\"est\"").unwrap();
         let mut opt2 = ProOptimizer::with_defaults(space());
-        let resumed = run_recoverable(
-            &obj,
+        let resumed = outcome(
             &Noise::None,
             &mut opt2,
             config,
-            &plan,
-            &mut part,
-            RecoveryConfig::default(),
+            journalled(plan, &mut part, RecoveryConfig::default()),
         )
         .unwrap();
         assert_eq!(full, resumed, "torn tail is dropped, not fatal");
@@ -2650,57 +2368,40 @@ mod tests {
 
     #[test]
     fn config_drift_fails_resume_loudly() {
-        let obj = bowl();
         let config = cfg(Estimator::Single, 30, 8);
         let plan = FaultPlan::none();
 
         let mut journal = SessionJournal::in_memory();
         let mut opt = ProOptimizer::with_defaults(space());
-        let _ = run_recoverable(
-            &obj,
+        let _ = outcome(
             &Noise::None,
             &mut opt,
             config,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journalled(plan, &mut journal, RecoveryConfig::default()),
         )
         .unwrap();
 
         let drifted = ServerConfig { seed: 43, ..config };
         let mut opt2 = ProOptimizer::with_defaults(space());
-        let out = run_recoverable(
-            &obj,
+        let out = outcome(
             &Noise::None,
             &mut opt2,
             drifted,
-            &plan,
-            &mut journal,
-            RecoveryConfig::default(),
+            journalled(plan, &mut journal, RecoveryConfig::default()),
         );
         assert!(matches!(out, Err(ServerError::Recovery(_))), "{out:?}");
     }
 
     #[test]
     fn supervised_fault_free_run_matches_resilient() {
-        let obj = bowl();
         let noise = Noise::paper_default(0.2);
         let config = cfg(Estimator::MinOfK(2), 60, 8);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain =
-            run_resilient(&obj, &noise, &mut plain_opt, config, &FaultPlan::none()).unwrap();
+        let plain = outcome(&noise, &mut plain_opt, config, SessionOptions::default()).unwrap();
 
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised(
-            &obj,
-            &noise,
-            &mut opt,
-            config,
-            &FaultPlan::none(),
-            SupervisorConfig::default(),
-        )
-        .unwrap();
+        let sup = session(&noise, &mut opt, config, supervised(FaultPlan::none())).unwrap();
 
         assert_eq!(plain, sup.outcome, "healthy supervision must not perturb");
         assert!(!sup.supervisor.degraded);
@@ -2710,7 +2411,6 @@ mod tests {
 
     #[test]
     fn supervisor_degrades_instead_of_failing_quorum() {
-        let obj = bowl();
         // every point must report — with half the reports dropped the
         // plain session dies on the first abandoned slot
         let config = ServerConfig {
@@ -2720,19 +2420,12 @@ mod tests {
         let plan = FaultPlan::new(11, 0.0, 0.0, 0.5, 0.0);
 
         let mut plain_opt = ProOptimizer::with_defaults(space());
-        let plain = run_resilient(&obj, &Noise::None, &mut plain_opt, config, &plan);
+        let plain = outcome(&Noise::None, &mut plain_opt, config, faulty(plan));
         assert!(matches!(plain, Err(ServerError::QuorumNotReached { .. })));
 
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised(
-            &obj,
-            &Noise::None,
-            &mut opt,
-            config,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .expect("supervisor completes the session degraded");
+        let sup = session(&Noise::None, &mut opt, config, supervised(plan))
+            .expect("supervisor completes the session degraded");
         assert!(sup.outcome.trace.len() >= 30);
         assert!(
             sup.supervisor.degraded,
@@ -2743,36 +2436,25 @@ mod tests {
 
     #[test]
     fn supervised_total_loss_is_still_a_quorum_error() {
-        let obj = bowl();
         let plan = FaultPlan::new(5, 0.0, 0.0, 1.0, 0.0);
         let mut opt = ProOptimizer::with_defaults(space());
-        let out = run_supervised(
-            &obj,
+        let out = session(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 30, 8),
-            &plan,
-            SupervisorConfig::default(),
+            supervised(plan),
         );
         assert!(matches!(out, Err(ServerError::QuorumNotReached { .. })));
     }
 
     #[test]
     fn breakers_open_on_repeat_offenders() {
-        let obj = bowl();
         let config = cfg(Estimator::Single, 60, 4);
         // heavy hangs: some client strings 3 consecutive misses together
         let plan = FaultPlan::new(17, 0.0, 0.6, 0.0, 0.0);
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised(
-            &obj,
-            &Noise::None,
-            &mut opt,
-            config,
-            &plan,
-            SupervisorConfig::default(),
-        )
-        .expect("hang-only plan is survivable under supervision");
+        let sup = session(&Noise::None, &mut opt, config, supervised(plan))
+            .expect("hang-only plan is survivable under supervision");
         assert!(sup.supervisor.breaker_opens > 0);
         assert!(sup.supervisor.degraded);
         assert!(sup.supervisor.min_width <= 4);
@@ -2794,7 +2476,6 @@ mod tests {
 
     #[test]
     fn injected_terminal_failures_produce_post_mortems() {
-        let obj = bowl();
         // every chaos-suite terminal failure mode: total crash, total
         // report loss, and an optimizer that never proposes
         let cases: Vec<(&str, FaultPlan, &str)> = vec![
@@ -2812,13 +2493,11 @@ mod tests {
         for (label, plan, event) in cases {
             let (tel, fr) = flight_telemetry();
             let mut opt = ProOptimizer::with_defaults(space());
-            let out = run_resilient_traced(
-                &obj,
+            let out = outcome(
                 &Noise::None,
                 &mut opt,
                 cfg(Estimator::Single, 60, 4),
-                &plan,
-                &tel,
+                traced(plan, &tel),
             );
             assert!(out.is_err(), "{label} plan must fail the session");
             let pms = fr.post_mortems();
@@ -2833,13 +2512,11 @@ mod tests {
         // no observations: the optimizer proposes nothing at all
         let (tel, fr) = flight_telemetry();
         let mut opt = NeverProposes(space());
-        let out = run_resilient_traced(
-            &obj,
+        let out = outcome(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 10, 2),
-            &FaultPlan::none(),
-            &tel,
+            traced(FaultPlan::none(), &tel),
         );
         assert!(matches!(out, Err(ServerError::NoObservations)));
         let pms = fr.post_mortems();
@@ -2849,19 +2526,18 @@ mod tests {
 
     #[test]
     fn breaker_open_produces_post_mortem_with_health_state() {
-        let obj = bowl();
         // heavy hangs: breakers open even though the session survives
         let plan = FaultPlan::new(17, 0.0, 0.6, 0.0, 0.0);
         let (tel, fr) = flight_telemetry();
         let mut opt = ProOptimizer::with_defaults(space());
-        let sup = run_supervised_traced(
-            &obj,
+        let sup = session(
             &Noise::None,
             &mut opt,
             cfg(Estimator::Single, 60, 4),
-            &plan,
-            &tel,
-            SupervisorConfig::default(),
+            SessionOptions {
+                telemetry: tel.clone(),
+                ..supervised(plan)
+            },
         )
         .expect("hang-only plan is survivable under supervision");
         assert!(sup.supervisor.breaker_opens > 0);
@@ -2880,18 +2556,15 @@ mod tests {
 
     #[test]
     fn post_mortems_are_reproducible_across_runs() {
-        let obj = bowl();
         let plan = FaultPlan::new(3, 1.0, 0.0, 0.0, 0.0);
         let run = || {
             let (tel, fr) = flight_telemetry();
             let mut opt = ProOptimizer::with_defaults(space());
-            let _ = run_resilient_traced(
-                &obj,
+            let _ = outcome(
                 &Noise::None,
                 &mut opt,
                 cfg(Estimator::Single, 60, 4),
-                &plan,
-                &tel,
+                traced(plan, &tel),
             );
             fr.post_mortems()
         };

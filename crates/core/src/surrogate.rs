@@ -269,7 +269,12 @@ impl SurrogateOptimizer {
     fn startup_batch(&self) -> Vec<Point> {
         let b = self.cfg.batch_size;
         (0..b)
-            .map(|i| self.hashed_point(SALT_STARTUP, (self.round * b + i) as u64))
+            .map(|i| {
+                // hash keys only: wrapping keeps a restored round count
+                // of any size from overflowing
+                let k = self.round.wrapping_mul(b).wrapping_add(i);
+                self.hashed_point(SALT_STARTUP, k as u64)
+            })
             .collect()
     }
 
@@ -320,7 +325,7 @@ impl SurrogateOptimizer {
 
         let mut scored: Vec<(f64, usize, Point)> = (0..self.cfg.candidates)
             .map(|c| {
-                let k = (self.round * self.cfg.candidates + c) as u64;
+                let k = self.round.wrapping_mul(self.cfg.candidates).wrapping_add(c) as u64;
                 let cand = self.hashed_point(SALT_CANDIDATE, k);
                 let score: f64 = (0..self.space.dims())
                     .map(|d| {

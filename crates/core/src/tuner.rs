@@ -13,7 +13,19 @@
 //! is measured `K` times according to the configured
 //! [`Estimator`]/[`SamplingMode`] and only the reduced estimate reaches
 //! the optimizer.
+//!
+//! [`OnlineTuner::run`], [`OnlineTuner::run_traced`],
+//! [`OnlineTuner::run_phases`] and [`crate::AdaptiveTuner::run`] are one
+//! loop body, differing only in the phase list (one phase for a
+//! stationary objective) and the batch sampler (fixed `K` reduced by the
+//! estimator, or adaptive rounds). The threaded counterpart, with real
+//! client threads, faults, journals and supervision, is
+//! [`crate::server::run_session`] configured by
+//! [`crate::server::SessionOptions`]; it charges time differently
+//! (dense slot packing over live clients, with deadlines), so it keeps
+//! its own loop.
 
+use crate::adaptive::AdaptiveSampling;
 use crate::cache::CachedObjective;
 use crate::optimizer::Optimizer;
 use crate::sampling::Estimator;
@@ -75,7 +87,7 @@ impl TunerConfig {
 /// Fault-handling counters of one tuning session. All zero on the
 /// fault-free paths ([`OnlineTuner`] and a server session with a
 /// fault-free plan); populated by
-/// [`crate::server::run_resilient`] when faults fire.
+/// [`crate::server::run_session`] when faults fire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Reports that missed their deadline (client hang, dropped report,
@@ -222,141 +234,7 @@ impl OnlineTuner {
         O: Objective + ?Sized,
         M: NoiseModel + ?Sized,
     {
-        // objectives are deterministic (noise is applied by the cluster
-        // layer), so memoizing repeated probes is exact — converged
-        // batches and the quality curve revisit the same points heavily
-        let objective = CachedObjective::new(objective);
-        let cluster = Cluster::new(self.cfg.procs);
-        let mut rng = seeded_rng(self.cfg.seed);
-        let mut trace = TuningTrace::new();
-        let mut evaluations = 0usize;
-        let mut quality_curve: Vec<(usize, f64)> = Vec::new();
-        let session = tel.enabled().then(|| {
-            tel.set_clock(0);
-            tel.span_open(
-                "tuner.session",
-                vec![
-                    Field::new("procs", self.cfg.procs),
-                    Field::new("max_steps", self.cfg.max_steps),
-                    Field::new("k", self.cfg.estimator.samples()),
-                    Field::new("seed", self.cfg.seed),
-                ],
-            )
-        });
-        let mut batches = 0usize;
-
-        while trace.len() < self.cfg.max_steps && !optimizer.converged() {
-            tel.set_clock(trace.len() as u64);
-            let batch = optimizer.propose();
-            if batch.is_empty() {
-                break;
-            }
-            let costs: Vec<f64> = batch.iter().map(|p| objective.eval(p)).collect();
-            let k = self.cfg.estimator.samples();
-            let samples = cluster.run_batch_occupied(
-                &costs,
-                k,
-                self.cfg.mode,
-                noise,
-                &mut rng,
-                &mut trace,
-                self.cfg.full_occupancy,
-            );
-            evaluations += batch.len() * k;
-            let estimates: Vec<f64> = samples
-                .iter()
-                .map(|s| self.cfg.estimator.reduce(s))
-                .collect();
-            optimizer.observe(&estimates);
-            tel.set_clock(trace.len() as u64);
-            event!(
-                tel,
-                "tuner.batch",
-                batch = batches,
-                points = batch.len(),
-                steps = trace.len()
-            );
-            batches += 1;
-            if let Some((rec, _)) = optimizer.recommendation() {
-                quality_curve.push((trace.len(), objective.eval(&rec)));
-            }
-        }
-
-        // deploy what the algorithm recommends (its converged vertex),
-        // not the luckiest raw observation — under heavy-tailed noise
-        // the two can differ substantially
-        let Some((best_point, best_estimate)) = optimizer.recommendation() else {
-            if let Some(id) = session {
-                tel.set_clock(trace.len() as u64);
-                event!(tel, "tuner.failed", error = "no_observations");
-                tel.span_close(id);
-            }
-            return Err(ServerError::NoObservations);
-        };
-        let best_true_cost = objective.eval(&best_point);
-
-        // exploit: the application keeps running with the tuned
-        // parameters for the rest of the budget. Under full occupancy
-        // every processor runs it and the barrier waits for the slowest
-        // of P draws; otherwise `exploit_width` parallel instances keep
-        // running (the paper's simulation: the converged simplex's 2N
-        // identical vertices stay the points evaluated each step).
-        let width = if self.cfg.full_occupancy {
-            self.cfg.procs
-        } else {
-            self.cfg.exploit_width.clamp(1, self.cfg.procs)
-        };
-        tel.set_clock(trace.len() as u64);
-        let exploit_start = trace.len();
-        // every exploit step runs `width` instances of the same cost, so
-        // draw each step's observations through the batch observe_n path
-        // into one reusable scratch buffer: the per-draw constants (eq.
-        // 17's β) derive once per step instead of once per draw, and no
-        // step allocates. The uniform stream and the left-to-right max
-        // are exactly those of per-draw `execute_step` calls.
-        let mut exploit_obs = vec![0.0_f64; width];
-        while trace.len() < self.cfg.max_steps {
-            noise.observe_n(best_true_cost, &mut rng, &mut exploit_obs);
-            let t_k = exploit_obs
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            trace.push(t_k);
-        }
-
-        if let Some(id) = session {
-            tel.set_clock(trace.len() as u64);
-            event!(
-                tel,
-                "tuner.exploit",
-                steps = trace.len() - exploit_start,
-                cost = best_true_cost,
-                width = width
-            );
-            event!(
-                tel,
-                "tuner.done",
-                batches = batches,
-                evaluations = evaluations,
-                best = best_true_cost,
-                converged = optimizer.converged()
-            );
-            objective.emit_telemetry(tel);
-            trace.emit_telemetry(tel, None);
-            tel.span_close(id);
-        }
-
-        Ok(TuningOutcome {
-            trace,
-            steps_budget: self.cfg.max_steps,
-            best_point,
-            best_estimate,
-            best_true_cost,
-            converged: optimizer.converged(),
-            evaluations,
-            quality_curve,
-            faults: FaultStats::default(),
-        })
+        self.run_loop(None, &[(0, objective)], noise, optimizer, tel)
     }
 
     /// Runs one session against a *non-stationary* environment: the
@@ -394,82 +272,182 @@ impl OnlineTuner {
             phases.windows(2).all(|w| w[0].0 < w[1].0),
             "phase starts must be strictly ascending"
         );
-        // one memo per phase: phase objectives differ, so each gets its
-        // own exact cache (see `CachedObjective`)
-        let cached: Vec<(usize, CachedObjective<'_, dyn Objective>)> = phases
+        let disabled = Telemetry::disabled();
+        self.run_loop(None, phases, noise, optimizer, &disabled)
+    }
+
+    /// The one in-process session loop: propose → evaluate → sample →
+    /// reduce → observe → quality point, until the optimizer converges
+    /// or the budget is spent; then the incumbent runs for the rest of
+    /// the budget. `phases` lists the objective in force from each start
+    /// step on (one phase for a stationary environment). Each batch is
+    /// sampled `K` times per point on the cluster's schedule and reduced
+    /// by the estimator, or — given an `adaptive` policy — in adaptive
+    /// rounds.
+    pub(crate) fn run_loop<O, M>(
+        &self,
+        adaptive: Option<&AdaptiveSampling>,
+        phases: &[(usize, &O)],
+        noise: &M,
+        optimizer: &mut dyn Optimizer,
+        tel: &Telemetry,
+    ) -> Result<TuningOutcome, ServerError>
+    where
+        O: Objective + ?Sized,
+        M: NoiseModel + ?Sized,
+    {
+        let c = &self.cfg;
+        // objectives are deterministic (noise is applied by the cluster
+        // layer), so memoizing repeated probes is exact — converged
+        // batches and the quality curve revisit the same points heavily.
+        // Phase objectives differ, so each gets its own memo.
+        let cached: Vec<(usize, CachedObjective<'_, O>)> = phases
             .iter()
             .map(|&(start, obj)| (start, CachedObjective::new(obj)))
             .collect();
-        let objective_at = |step: usize| -> &CachedObjective<'_, dyn Objective> {
-            &cached
-                .iter()
-                .rev()
-                .find(|(start, _)| *start <= step)
-                .expect("phase exists for every step")
-                .1
-        };
-        let cluster = Cluster::new(self.cfg.procs);
-        let mut rng = seeded_rng(self.cfg.seed);
+        let phase_at = |step: usize| cached.iter().rposition(|(start, _)| *start <= step);
+        let objective_at = |step: usize| &cached[phase_at(step).expect("phase 0 starts at 0")].1;
+        let cluster = Cluster::new(c.procs);
+        let mut rng = seeded_rng(c.seed);
         let mut trace = TuningTrace::new();
         let mut evaluations = 0usize;
         let mut quality_curve: Vec<(usize, f64)> = Vec::new();
+        let session = tel.enabled().then(|| {
+            tel.set_clock(0);
+            tel.span_open(
+                "tuner.session",
+                vec![
+                    Field::new("procs", c.procs),
+                    Field::new("max_steps", c.max_steps),
+                    Field::new("k", c.estimator.samples()),
+                    Field::new("seed", c.seed),
+                ],
+            )
+        });
+        let mut batches = 0usize;
 
-        while trace.len() < self.cfg.max_steps && !optimizer.converged() {
+        while trace.len() < c.max_steps && !optimizer.converged() {
+            tel.set_clock(trace.len() as u64);
             let batch = optimizer.propose();
             if batch.is_empty() {
                 break;
             }
-            // the environment during this batch is the one in force at
-            // its first step (batches are short relative to phases)
+            // the environment during a batch is the one in force at its
+            // first step (batches are short relative to phases)
             let objective = objective_at(trace.len());
             let costs: Vec<f64> = batch.iter().map(|p| objective.eval(p)).collect();
-            let k = self.cfg.estimator.samples();
-            let samples = cluster.run_batch_occupied(
-                &costs,
-                k,
-                self.cfg.mode,
-                noise,
-                &mut rng,
-                &mut trace,
-                self.cfg.full_occupancy,
-            );
-            evaluations += batch.len() * k;
-            let estimates: Vec<f64> = samples
-                .iter()
-                .map(|s| self.cfg.estimator.reduce(s))
-                .collect();
+            let (estimates, samples) = match adaptive {
+                Some(policy) => policy.sample_batch(&cluster, &costs, noise, &mut rng, &mut trace),
+                None => {
+                    let k = c.estimator.samples();
+                    let raw = cluster.run_batch_occupied(
+                        &costs,
+                        k,
+                        c.mode,
+                        noise,
+                        &mut rng,
+                        &mut trace,
+                        c.full_occupancy,
+                    );
+                    (raw.iter().map(|s| c.estimator.reduce(s)).collect(), k)
+                }
+            };
+            evaluations += batch.len() * samples;
             optimizer.observe(&estimates);
+            tel.set_clock(trace.len() as u64);
+            event!(
+                tel,
+                "tuner.batch",
+                batch = batches,
+                points = batch.len(),
+                steps = trace.len()
+            );
+            batches += 1;
             if let Some((rec, _)) = optimizer.recommendation() {
                 let current = objective_at(trace.len().saturating_sub(1));
                 quality_curve.push((trace.len(), current.eval(&rec)));
             }
         }
 
+        // deploy what the algorithm recommends (its converged vertex),
+        // not the luckiest raw observation — under heavy-tailed noise
+        // the two can differ substantially
         let Some((best_point, best_estimate)) = optimizer.recommendation() else {
+            if let Some(id) = session {
+                tel.set_clock(trace.len() as u64);
+                event!(tel, "tuner.failed", error = "no_observations");
+                tel.span_close(id);
+            }
             return Err(ServerError::NoObservations);
         };
-        let final_objective = &cached.last().expect("non-empty phases").1;
-        let best_true_cost = final_objective.eval(&best_point);
+        let last = cached.len() - 1;
+        let best_true_cost = cached[last].1.eval(&best_point);
 
-        let width = if self.cfg.full_occupancy {
-            self.cfg.procs
+        // exploit: the application keeps running with the tuned
+        // parameters for the rest of the budget. Under full occupancy
+        // every processor runs it and the barrier waits for the slowest
+        // of P draws; otherwise `exploit_width` parallel instances keep
+        // running (the paper's simulation: the converged simplex's 2N
+        // identical vertices stay the points evaluated each step).
+        let width = if c.full_occupancy {
+            c.procs
         } else {
-            self.cfg.exploit_width.clamp(1, self.cfg.procs)
+            c.exploit_width.clamp(1, c.procs)
         };
+        // Every step of a phase runs the same cost, evaluated once per
+        // phase, so draw each step's observations through the batch
+        // observe_n path into one reusable scratch buffer: the per-draw
+        // constants (eq. 17's β) derive once per step instead of once
+        // per draw, and no step allocates. The uniform stream and the
+        // left-to-right max are exactly those of per-draw
+        // `execute_step` calls.
+        tel.set_clock(trace.len() as u64);
+        let exploit_start = trace.len();
         let mut exploit_obs = vec![0.0_f64; width];
-        while trace.len() < self.cfg.max_steps {
-            let cost = objective_at(trace.len()).eval(&best_point);
-            noise.observe_n(cost, &mut rng, &mut exploit_obs);
-            let t_k = exploit_obs
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max);
-            trace.push(t_k);
+        let mut phase = phase_at(trace.len()).unwrap_or(last);
+        while trace.len() < c.max_steps {
+            let (end, cost) = match cached.get(phase + 1) {
+                Some(&(next, _)) => (next.min(c.max_steps), cached[phase].1.eval(&best_point)),
+                None => (c.max_steps, best_true_cost),
+            };
+            while trace.len() < end {
+                noise.observe_n(cost, &mut rng, &mut exploit_obs);
+                let t_k = exploit_obs
+                    .iter()
+                    .copied()
+                    .fold(f64::NEG_INFINITY, f64::max);
+                trace.push(t_k);
+            }
+            phase += 1;
+        }
+
+        if let Some(id) = session {
+            tel.set_clock(trace.len() as u64);
+            event!(
+                tel,
+                "tuner.exploit",
+                steps = trace.len() - exploit_start,
+                cost = best_true_cost,
+                width = width
+            );
+            event!(
+                tel,
+                "tuner.done",
+                batches = batches,
+                evaluations = evaluations,
+                best = best_true_cost,
+                converged = optimizer.converged()
+            );
+            for (_, objective) in &cached {
+                objective.emit_telemetry(tel);
+            }
+            trace.emit_telemetry(tel, None);
+            tel.span_close(id);
         }
 
         Ok(TuningOutcome {
             trace,
-            steps_budget: self.cfg.max_steps,
+            steps_budget: c.max_steps,
             best_point,
             best_estimate,
             best_true_cost,
@@ -722,6 +700,101 @@ mod tests {
         assert!(out.converged);
         assert_eq!(out.best_point.as_slice(), &[5.0, 5.0]); // stale!
         assert!(out.best_true_cost > 2.0);
+    }
+
+    /// FNV-1a over the bits of every step time and quality point: a
+    /// compact fingerprint that any change to the session loop moves.
+    fn fingerprint(out: &TuningOutcome) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in out.trace.step_times() {
+            mix(t.to_bits());
+        }
+        for &(step, q) in &out.quality_curve {
+            mix(step as u64);
+            mix(q.to_bits());
+        }
+        h
+    }
+
+    #[test]
+    fn two_phase_sessions_are_pinned() {
+        // a noisy two-phase environment: the stopping PRO converges in
+        // phase 1 and exploits across the boundary; the continuous PRO
+        // keeps proposing batches in phase 2
+        let obj_a = FnObjective::new("a", space(), |p| {
+            2.0 + 0.05 * ((p[0] - 5.0).powi(2) + (p[1] - 5.0).powi(2))
+        });
+        let obj_b = FnObjective::new("b", space(), |p| {
+            2.0 + 0.05 * ((p[0] + 5.0).powi(2) + (p[1] + 5.0).powi(2))
+        });
+        let noise = Noise::paper_default(0.2);
+        let tuner = OnlineTuner::new(cfg(Estimator::MinOfK(2), 400, 11));
+        let phases: [(usize, &dyn Objective); 2] = [(0, &obj_a), (150, &obj_b)];
+        let continuous = crate::pro::ProConfig {
+            continuous: true,
+            ..crate::pro::ProConfig::default()
+        };
+        let runs = [
+            ProOptimizer::with_defaults(space()),
+            ProOptimizer::new(space(), continuous),
+        ]
+        .map(|mut opt| tuner.run_phases(&phases, &noise, &mut opt).unwrap());
+        let pins: Vec<_> = runs
+            .iter()
+            .map(|o| {
+                (
+                    fingerprint(o),
+                    o.trace.len(),
+                    o.best_point.as_slice().to_vec(),
+                    o.evaluations,
+                    o.quality_curve.len(),
+                    o.best_true_cost.to_bits(),
+                )
+            })
+            .collect();
+        let expected = vec![
+            (
+                7611070828759436068,
+                400,
+                vec![5.0, 5.0],
+                88,
+                16,
+                4622945017495814144,
+            ),
+            (
+                10100764325672386017,
+                400,
+                vec![-5.0, -6.0],
+                1604,
+                200,
+                4611798608418072166,
+            ),
+        ];
+        assert_eq!(pins, expected, "pinned two-phase outcomes");
+    }
+
+    #[test]
+    fn single_phase_run_phases_equals_run() {
+        let obj = bowl();
+        let noise = Noise::paper_default(0.3);
+        for full_occupancy in [false, true] {
+            let tuner = OnlineTuner::new(TunerConfig {
+                full_occupancy,
+                ..cfg(Estimator::MinOfK(3), 120, 9)
+            });
+            let mut opt_a = ProOptimizer::with_defaults(space());
+            let plain = tuner.run(&obj, &noise, &mut opt_a).unwrap();
+            let mut opt_b = ProOptimizer::with_defaults(space());
+            let phased = tuner
+                .run_phases(&[(0, &obj as &dyn Objective)], &noise, &mut opt_b)
+                .unwrap();
+            assert_eq!(plain, phased);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use harmony_core::nelder_mead::NelderMead;
 use harmony_core::sro::SroOptimizer;
-use harmony_core::{restarting_pro, Optimizer, ProConfig, ProOptimizer};
+use harmony_core::{restarting_pro, Optimizer, ProConfig, ProOptimizer, SurrogateOptimizer};
 use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_recovery::{restore_from_slice, save_to_vec, Checkpoint};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,5 +95,11 @@ fn nelder_mead_rejects_or_survives_every_byte_flip() {
 #[test]
 fn restarting_pro_rejects_or_survives_every_byte_flip() {
     let bad = restored_then_panicked(|| restarting_pro(space(), ProConfig::default(), 4, 7));
+    assert!(bad.is_empty(), "restored, then panicked: {bad:?}");
+}
+
+#[test]
+fn surrogate_rejects_or_survives_every_byte_flip() {
+    let bad = restored_then_panicked(|| SurrogateOptimizer::with_defaults(space(), 7));
     assert!(bad.is_empty(), "restored, then panicked: {bad:?}");
 }

@@ -66,12 +66,15 @@ fn sequential_and_distributed_agree_without_noise() {
     let seq = tuner.run(&gs2, &Noise::None, &mut a).unwrap();
 
     let mut b = ProOptimizer::with_defaults(gs2.space().clone());
-    let dist = run_distributed(
+    let dist = run_session(
         &gs2,
         &Noise::None,
         &mut b,
         ServerConfig::new(8, 200, Estimator::Single, 3).unwrap(),
-    );
+        SessionOptions::default(),
+    )
+    .unwrap()
+    .outcome;
 
     // deterministic objective + deterministic PRO: identical best points
     assert_eq!(seq.best_point, dist.best_point);

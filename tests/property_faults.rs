@@ -12,9 +12,9 @@
 //! CI runs this file with an elevated `PROPTEST_CASES` as the chaos
 //! step.
 
-use harmony::core::{restarting_pro, run_session_traced};
+use harmony::core::restarting_pro;
 use harmony::prelude::*;
-use harmony::recovery::{restore_from_slice, save_to_vec};
+use harmony::recovery::{restore_from_slice, save_to_vec, ExploitKind, WalRecord};
 use harmony::surface::objective::FnObjective;
 use proptest::prelude::*;
 
@@ -39,7 +39,17 @@ fn session(
     let obj = bowl();
     let mut pro = ProOptimizer::with_defaults(space());
     let cfg = ServerConfig::new(procs, steps, Estimator::Single, seed).unwrap();
-    run_resilient(&obj, &Noise::paper_default(0.2), &mut pro, cfg, plan)
+    run_session(
+        &obj,
+        &Noise::paper_default(0.2),
+        &mut pro,
+        cfg,
+        SessionOptions {
+            plan: *plan,
+            ..SessionOptions::default()
+        },
+    )
+    .map(|s| s.outcome)
 }
 
 /// [`session`] through a flight recorder: returns the outcome plus
@@ -58,14 +68,18 @@ fn session_with_flight_recorder(
     let cfg = ServerConfig::new(procs, steps, Estimator::Single, seed).unwrap();
     let recorder = std::sync::Arc::new(FlightRecorder::new(64));
     let tel = Telemetry::with_config(recorder.clone(), TelemetryConfig::default());
-    let out = harmony::core::server::run_resilient_traced(
+    let out = harmony::core::server::run_session(
         &obj,
         &Noise::paper_default(0.2),
         &mut pro,
         cfg,
-        plan,
-        &tel,
-    );
+        SessionOptions {
+            plan: *plan,
+            telemetry: tel.clone(),
+            ..SessionOptions::default()
+        },
+    )
+    .map(|s| s.outcome);
     (out, recorder.take_post_mortems())
 }
 
@@ -123,7 +137,7 @@ proptest! {
         let obj = bowl();
         let mut pro = ProOptimizer::with_defaults(space());
         let cfg = ServerConfig::new(procs, 30, Estimator::Single, seed).unwrap();
-        let plain = run_distributed(&obj, &Noise::paper_default(0.2), &mut pro, cfg);
+        let plain = run_session(&obj, &Noise::paper_default(0.2), &mut pro, cfg, SessionOptions::default()).unwrap().outcome;
         prop_assert_eq!(&resilient, &plain);
         prop_assert!(resilient.faults.is_clean());
     }
@@ -149,14 +163,14 @@ proptest! {
 
         let mut journal = SessionJournal::in_memory();
         let mut pro = ProOptimizer::with_defaults(space());
-        let full = run_recoverable(&obj, &noise, &mut pro, cfg, &plan, &mut journal, recovery);
+        let full = run_session(&obj, &noise, &mut pro, cfg, SessionOptions { plan, journal: Some(&mut journal), recovery, ..SessionOptions::default() }).map(|s| s.outcome);
 
         let records = journal.wal_lines().unwrap().len().saturating_sub(1);
         let kill = ((records as f64) * kill_frac) as usize;
         let mut part = journal.clone();
         part.truncate_records(kill).unwrap();
         let mut pro2 = ProOptimizer::with_defaults(space());
-        let resumed = run_recoverable(&obj, &noise, &mut pro2, cfg, &plan, &mut part, recovery);
+        let resumed = run_session(&obj, &noise, &mut pro2, cfg, SessionOptions { plan, journal: Some(&mut part), recovery, ..SessionOptions::default() }).map(|s| s.outcome);
         prop_assert_eq!(full, resumed);
     }
 
@@ -222,7 +236,7 @@ proptest! {
         let cfg = ServerConfig::new(procs, 25, Estimator::Single, seed).unwrap();
         let run = || {
             let mut pro = ProOptimizer::with_defaults(space());
-            run_supervised(&obj, &noise, &mut pro, cfg, &plan, SupervisorConfig::default())
+            run_session(&obj, &noise, &mut pro, cfg, SessionOptions { plan, supervisor: Some(SupervisorConfig::default()), ..SessionOptions::default() })
         };
         prop_assert_eq!(run(), run());
     }
@@ -256,8 +270,9 @@ proptest! {
 
 /// ISSUE acceptance: exhaustive kill-point sweep. A journaled,
 /// supervised, traced session killed after *every* WAL record resumes to
-/// a byte-identical outcome, supervisor report, and telemetry stream
-/// (WAL-only mode re-emits the full trace).
+/// a byte-identical outcome and supervisor report at every snapshot
+/// cadence. WAL-only mode (cadence 0) also re-emits the full telemetry
+/// stream; a snapshot resume skips pre-snapshot events by design.
 #[test]
 fn every_kill_point_resumes_byte_identically_with_supervision() {
     let obj = bowl();
@@ -266,33 +281,44 @@ fn every_kill_point_resumes_byte_identically_with_supervision() {
     let plan = FaultPlan::new(41, 0.2, 0.15, 0.1, 0.05);
     let sup = SupervisorConfig::default();
 
-    let run = |journal: &mut SessionJournal| {
-        let (tel, sink) = Telemetry::memory();
-        let mut pro = ProOptimizer::with_defaults(space());
-        let out = run_session_traced(
-            &obj,
-            &noise,
-            &mut pro,
-            cfg,
-            &plan,
-            &tel,
-            Some(journal),
-            RecoveryConfig::default(),
-            Some(sup),
-        );
-        (out, sink.take())
-    };
+    for snapshot_every in 0..=3 {
+        let recovery = RecoveryConfig { snapshot_every };
+        let run = |journal: &mut SessionJournal| {
+            let (tel, sink) = Telemetry::memory();
+            let mut pro = ProOptimizer::with_defaults(space());
+            let out = run_session(
+                &obj,
+                &noise,
+                &mut pro,
+                cfg,
+                SessionOptions {
+                    plan,
+                    telemetry: tel.clone(),
+                    journal: Some(journal),
+                    recovery,
+                    supervisor: Some(sup),
+                    ..SessionOptions::default()
+                },
+            );
+            (out, sink.take())
+        };
 
-    let mut journal = SessionJournal::in_memory();
-    let (full, full_trace) = run(&mut journal);
-    let records = journal.wal_lines().unwrap().len() - 1;
-    assert!(records > 3, "session committed only {records} records");
-    for kill in 0..=records {
-        let mut part = journal.clone();
-        part.truncate_records(kill).unwrap();
-        let (resumed, resumed_trace) = run(&mut part);
-        assert_eq!(full, resumed, "kill after record {kill}");
-        assert_eq!(full_trace, resumed_trace, "telemetry after record {kill}");
+        let mut journal = SessionJournal::in_memory();
+        let (full, full_trace) = run(&mut journal);
+        let records = journal.wal_lines().unwrap().len() - 1;
+        assert!(records > 3, "session committed only {records} records");
+        for kill in 0..=records {
+            let mut part = journal.clone();
+            part.truncate_records(kill).unwrap();
+            let (resumed, resumed_trace) = run(&mut part);
+            assert_eq!(
+                full, resumed,
+                "cadence {snapshot_every}: kill after record {kill}"
+            );
+            if snapshot_every == 0 {
+                assert_eq!(full_trace, resumed_trace, "telemetry after record {kill}");
+            }
+        }
     }
 }
 
@@ -311,16 +337,18 @@ fn surrogate_kill_matrix_resumes_byte_identically() {
     let run = |journal: &mut SessionJournal| {
         let (tel, sink) = Telemetry::memory();
         let mut opt = SurrogateOptimizer::with_defaults(space(), 2005);
-        let out = run_session_traced(
+        let out = run_session(
             &obj,
             &noise,
             &mut opt,
             cfg,
-            &plan,
-            &tel,
-            Some(journal),
-            RecoveryConfig::default(),
-            Some(sup),
+            SessionOptions {
+                plan,
+                telemetry: tel.clone(),
+                journal: Some(journal),
+                supervisor: Some(sup),
+                ..SessionOptions::default()
+            },
         );
         (out, sink.take())
     };
@@ -338,6 +366,107 @@ fn surrogate_kill_matrix_resumes_byte_identically() {
     }
 }
 
+/// Runs (or resumes) a small supervised, journalled session.
+fn journalled(
+    journal: &mut SessionJournal,
+    recovery: RecoveryConfig,
+) -> Result<SupervisedOutcome, ServerError> {
+    let mut pro = ProOptimizer::with_defaults(space());
+    let opts = SessionOptions {
+        plan: FaultPlan::new(5, 0.2, 0.2, 0.1, 0.05),
+        journal: Some(journal),
+        recovery,
+        supervisor: Some(SupervisorConfig::default()),
+        ..SessionOptions::default()
+    };
+    let cfg = ServerConfig::new(4, 40, Estimator::Single, 11).unwrap();
+    run_session(&bowl(), &Noise::paper_default(0.2), &mut pro, cfg, opts)
+}
+
+/// Applies mutation `m` of [`journal_client_indices_are_checked_on_resume`]
+/// to `rec`: a client index equal to `procs` in each place a record names
+/// clients, or a duplicated live client. `false` when `rec` has no such
+/// place.
+fn corrupt_clients(rec: &mut WalRecord, m: usize, procs: usize) -> bool {
+    match (rec, m) {
+        (WalRecord::Batch(b), 0) => b.live.push(procs),
+        (WalRecord::Exploit(e), 0) => e.live.push(procs),
+        (WalRecord::Batch(b), 1) if !b.live.is_empty() => b.live.push(b.live[0]),
+        (WalRecord::Exploit(e), 1) if !e.live.is_empty() => e.live.push(e.live[0]),
+        (WalRecord::Batch(b), 2) => b.rounds[0].clients[0] = procs,
+        (WalRecord::Batch(b), 3) => b.rounds[0].evicted.push(procs),
+        (WalRecord::Exploit(e), 4) => e.pre_evicted.push(procs),
+        (WalRecord::Exploit(e), 5) => e.kind = ExploitKind::Died(procs),
+        _ => return false,
+    }
+    true
+}
+
+/// A WAL record naming a client index outside the fleet (or a live set
+/// that is not strictly ascending) resumes to a typed recovery error
+/// instead of indexing past a client table.
+#[test]
+fn journal_client_indices_are_checked_on_resume() {
+    let mut journal = SessionJournal::in_memory();
+    journalled(&mut journal, RecoveryConfig::default()).unwrap();
+    let lines = journal.wal_lines().unwrap();
+    for m in 0..6 {
+        let mut hits = 0;
+        for kill in 1..lines.len() {
+            let mut rec = WalRecord::from_line(&lines[kill]).unwrap();
+            if !corrupt_clients(&mut rec, m, 4) {
+                continue;
+            }
+            hits += 1;
+            let mut part = SessionJournal::in_memory();
+            for line in &lines[..kill] {
+                part.append_wal(line).unwrap();
+            }
+            part.append_wal(&rec.to_line()).unwrap();
+            let out = journalled(&mut part, RecoveryConfig::default());
+            assert!(
+                matches!(out, Err(ServerError::Recovery(_))),
+                "mutation {m} of WAL line {kill}: {out:?}"
+            );
+        }
+        assert!(hits > 0, "no WAL record takes mutation {m}");
+    }
+}
+
+/// Every single-byte corruption (masks 0x01, 0x80, 0xFF) of a
+/// supervised session's snapshot either resumes or fails with a typed
+/// error — none panics.
+#[test]
+fn corrupt_session_snapshots_never_panic_on_resume() {
+    let recovery = RecoveryConfig { snapshot_every: 2 };
+    let mut journal = SessionJournal::in_memory();
+    journalled(&mut journal, recovery).unwrap();
+    // keep the WAL up to the first snapshot, so the resumed session
+    // restores the mutant and then tunes live on top of it
+    journal.truncate_records(2).unwrap();
+    let (batch, bytes) = journal
+        .latest_snapshot()
+        .unwrap()
+        .expect("snapshot at batch 2");
+    let quiet = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let mut panicked = Vec::new();
+    for i in 0..bytes.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut mutant = bytes.clone();
+            mutant[i] ^= mask;
+            let mut part = journal.clone();
+            part.put_snapshot(batch, &mutant).unwrap();
+            let resume = || journalled(&mut part, recovery);
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(resume)).is_err() {
+                panicked.push((i, mask));
+            }
+        }
+    }
+    std::panic::set_hook(quiet);
+    assert!(panicked.is_empty(), "resume panicked at {panicked:?}");
+}
+
 /// ISSUE acceptance: 25% crashes + 10% hangs on GS2 still terminates
 /// `Ok` with a best true cost within 2× of the fault-free session.
 #[test]
@@ -347,7 +476,17 @@ fn gs2_survives_quarter_crashes_within_2x() {
     let run = |plan: &FaultPlan| {
         let mut pro = ProOptimizer::with_defaults(gs2.space().clone());
         let cfg = ServerConfig::new(16, 60, Estimator::Single, 2005).unwrap();
-        run_resilient(&gs2, &noise, &mut pro, cfg, plan)
+        run_session(
+            &gs2,
+            &noise,
+            &mut pro,
+            cfg,
+            SessionOptions {
+                plan: *plan,
+                ..SessionOptions::default()
+            },
+        )
+        .map(|s| s.outcome)
     };
     let clean = run(&FaultPlan::none()).expect("fault-free session terminates");
     let faulty =
