@@ -64,13 +64,13 @@ fn bench_fig09(c: &mut Criterion) {
 
 fn bench_fig10(c: &mut Criterion) {
     let cfg = fig10::Fig10Config {
-        rhos: vec![0.2],
-        ks: vec![3],
         reps: 8,
         steps: 50,
         ..Default::default()
     };
-    c.bench_function("fig10/one_cell", |b| b.iter(|| black_box(fig10::run(&cfg))));
+    c.bench_function("fig10/one_cell", |b| {
+        b.iter(|| black_box(fig10::cell_with_sem(0.2, 3, &cfg)))
+    });
 }
 
 fn bench_tables(c: &mut Criterion) {

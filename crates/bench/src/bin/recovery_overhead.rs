@@ -62,7 +62,7 @@ fn main() {
     println!(
         "recovery_overhead: plain median {:.6}s, journalled median {:.6}s, \
          overhead {overhead_pct:+.2}% (limit {limit_pct:.2}%, {reps} reps x {steps} steps)",
-        m.plain_s, m.journaled_s
+        m.base_s, m.treated_s
     );
     if overhead_pct > limit_pct {
         eprintln!("FAIL: snapshot/WAL overhead {overhead_pct:.2}% exceeds {limit_pct:.2}%");

@@ -23,7 +23,7 @@
 //!   only on hosts with at least that many cores (CI timing gates)
 //! * `--recovery-overhead PCT` — after the graph run, time paired
 //!   plain/journalled sessions (see the `recovery_overhead` binary),
-//!   record the median slowdown as `recovery_overhead_pct` in
+//!   record the median paired slowdown as `recovery_overhead_pct` in
 //!   `BENCH_harness.json`, and exit nonzero when it exceeds `PCT`
 //! * `--trace PATH` — write a JSONL telemetry trace of the run (byte-
 //!   identical for every worker count; read it with `trace_summary`)
@@ -37,7 +37,8 @@
 //! Every invocation writes `BENCH_harness.json` (per-experiment and
 //! per-subtask wall-clock, critical-path length, worker count,
 //! effective speedup, parallel efficiency) next to the results
-//! directory.
+//! directory: `./BENCH_harness.json` for the default `results/`, the
+//! parent of `$HARMONY_RESULTS` otherwise.
 
 use harmony_bench::harness::{self, RunConfig};
 
@@ -192,9 +193,9 @@ fn main() {
     }
 
     let json = report.to_json();
-    let json_path = "BENCH_harness.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("failed to write {json_path}: {e}");
+    let json_path = cfg.bench_json_path();
+    if let Err(e) = std::fs::write(&json_path, &json) {
+        eprintln!("failed to write {}: {e}", json_path.display());
     }
     println!(
         "=== done: {} experiments in {:.3}s on {} workers \
@@ -207,7 +208,7 @@ fn main() {
         report.speedup(),
         report.critical_path_s
     );
-    println!("[json] {json_path}");
+    println!("[json] {}", json_path.display());
     if let Some(trace) = &cfg.trace {
         println!("[trace] {}", trace.display());
     }
@@ -247,7 +248,7 @@ fn main() {
         let pct = m.overhead_pct();
         println!(
             "[check] recovery overhead {pct:+.2}% (plain {:.6}s, journalled {:.6}s, limit {limit:.2}%)",
-            m.plain_s, m.journaled_s
+            m.base_s, m.treated_s
         );
         if pct > limit {
             eprintln!("FAIL: snapshot/WAL overhead {pct:.2}% exceeds {limit:.2}%");

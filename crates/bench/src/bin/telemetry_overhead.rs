@@ -5,16 +5,17 @@
 //! A `NullSink` reports `enabled() == false`, so every instrumented site
 //! — the `event!` macro, span opens, counter updates — must reduce to
 //! one branch. This binary checks that claim end to end: it interleaves
-//! repetitions of the same fixed-seed PRO descent with a detached
-//! optimizer and with a `NullSink` handle attached, compares medians,
-//! and exits nonzero when the attached median exceeds the detached
-//! median by more than the limit.
+//! pairs of the same fixed-seed PRO descent with a detached optimizer
+//! and with a `NullSink` handle attached, and exits nonzero when the
+//! median of the within-pair attached/detached time ratios
+//! ([`harmony_bench::harness::paired_overhead`], the estimator the
+//! recovery gate uses too) exceeds the limit.
 //!
 //! With `--metrics` it additionally times a
 //! [`harmony_telemetry::MetricsSink`]-attached variant against a
 //! realistic (GS2-shaped, deliberately non-trivial) objective and gates
 //! the metrics-enabled overhead over the NullSink baseline the same
-//! interleaved way. The metrics path pays for record construction and
+//! paired way. The metrics path pays for record construction and
 //! registry ingestion, so it is measured against a workload whose
 //! objective dominates — mirroring real tuning sessions, where the
 //! application run dwarfs bookkeeping.
@@ -24,6 +25,7 @@
 //! `--metrics` enable the metrics-enabled gate,
 //! `--metrics-limit PCT` its budget (default 2.0).
 
+use harmony_bench::harness::paired_overhead;
 use harmony_core::{Optimizer, ProOptimizer};
 use harmony_params::{ParamDef, ParamSpace, Point};
 use harmony_telemetry::{MetricsSink, Telemetry};
@@ -89,11 +91,6 @@ fn run_rounds(rounds: usize, tel: Option<&Telemetry>, work: u32) -> (f64, f64) {
     (t0.elapsed().as_secs_f64(), checksum)
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut reps = 41usize;
@@ -138,8 +135,8 @@ fn main() {
     let reps = reps.max(3);
     let null = Telemetry::null();
 
-    // warm-up rep of each variant, then interleaved A/B timing so slow
-    // drift (frequency scaling, noisy neighbours) hits both sides alike
+    // warm-up rep of each variant, then interleaved A/B pairs so slow
+    // drift (frequency scaling, noisy neighbours) cancels in each ratio
     let (_, base_sum) = run_rounds(rounds, None, 0);
     let (_, null_sum) = run_rounds(rounds, Some(&null), 0);
     assert_eq!(
@@ -147,19 +144,16 @@ fn main() {
         null_sum.to_bits(),
         "NullSink telemetry must not change optimizer behaviour"
     );
-    let mut detached = Vec::with_capacity(reps);
-    let mut attached = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        detached.push(run_rounds(rounds, None, 0).0);
-        attached.push(run_rounds(rounds, Some(&null), 0).0);
-    }
-    let base = median(&mut detached);
-    let with_null = median(&mut attached);
-    let overhead_pct = (with_null / base - 1.0) * 100.0;
+    let m = paired_overhead(
+        reps,
+        |_| run_rounds(rounds, None, 0).0,
+        |_| run_rounds(rounds, Some(&null), 0).0,
+    );
+    let overhead_pct = m.overhead_pct();
     println!(
         "telemetry_overhead: detached median {:.6}s, nullsink median {:.6}s, \
          overhead {overhead_pct:+.2}% (limit {limit_pct:.2}%, {reps} reps x {rounds} rounds)",
-        base, with_null
+        m.base_s, m.treated_s
     );
     let mut failed = overhead_pct > limit_pct;
     if failed {
@@ -180,19 +174,16 @@ fn main() {
             m_sum.to_bits(),
             "MetricsSink telemetry must not change optimizer behaviour"
         );
-        let mut null_times = Vec::with_capacity(reps);
-        let mut metrics_times = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            null_times.push(run_rounds(rounds, Some(&null), metrics_work).0);
-            metrics_times.push(run_rounds(rounds, Some(&mtel), metrics_work).0);
-        }
-        let null_med = median(&mut null_times);
-        let metrics_med = median(&mut metrics_times);
-        let metrics_pct = (metrics_med / null_med - 1.0) * 100.0;
+        let m = paired_overhead(
+            reps,
+            |_| run_rounds(rounds, Some(&null), metrics_work).0,
+            |_| run_rounds(rounds, Some(&mtel), metrics_work).0,
+        );
+        let metrics_pct = m.overhead_pct();
         println!(
             "telemetry_overhead: nullsink median {:.6}s, metrics median {:.6}s, \
              overhead {metrics_pct:+.2}% (limit {metrics_limit:.2}%, work {metrics_work})",
-            null_med, metrics_med
+            m.base_s, m.treated_s
         );
         if metrics_pct > metrics_limit {
             eprintln!(

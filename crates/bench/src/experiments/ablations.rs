@@ -3,7 +3,6 @@
 
 use crate::report::Table;
 use crate::{average_sessions, average_sessions_in};
-use harmony_cluster::pool::worker_count;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, ProConfig, ProOptimizer, TunerConfig};
 use harmony_params::Rounding;
@@ -84,25 +83,14 @@ pub const ESTIMATORS: [Estimator; 5] = [
     Estimator::MinOfK(5),
 ];
 
-/// A2 — estimator comparison under different noise families: the mean
-/// estimator degrades under heavy tails while the min stays effective.
-pub fn estimators(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let workers = worker_count(reps);
-    let mut cells = Vec::with_capacity(ESTIMATORS.len() * estimator_noises(rho).len());
-    for ei in 0..ESTIMATORS.len() {
-        for ni in 0..estimator_noises(rho).len() {
-            cells.push(estimators_cell_in(workers, ei, ni, steps, reps, rho, seed));
-        }
-    }
-    assemble_estimators(rho, &cells)
-}
-
-/// One A2 cell: mean best-true cost for `(ESTIMATORS[est_idx],
-/// estimator_noises(rho)[noise_idx])`, with an explicit inner worker
-/// count. The cell seed depends only on the noise index and the
-/// estimator's sample count, exactly as in the monolithic sweep.
-pub fn estimators_cell_in(
-    workers: usize,
+/// One cell of A2 — the estimator comparison under different noise
+/// families, where the mean estimator degrades under heavy tails while
+/// the min stays effective: mean best-true cost for
+/// `(ESTIMATORS[est_idx], estimator_noises(rho)[noise_idx])`. The cell
+/// seed depends only on the noise index and the estimator's sample
+/// count; the replications run serially because the task-graph pool
+/// owns all parallelism.
+pub fn estimators_cell(
     est_idx: usize,
     noise_idx: usize,
     steps: usize,
@@ -115,7 +103,7 @@ pub fn estimators_cell_in(
     let noises = estimator_noises(rho);
     let (_, ref noise) = noises[noise_idx];
     let avg = average_sessions_in(
-        workers,
+        1,
         reps,
         stream_seed(seed, (noise_idx as u64) << 8 | est.samples() as u64),
         rho,
@@ -174,29 +162,14 @@ pub fn projection(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
 /// The monitoring-study idle throughputs, in canonical row order.
 pub const MONITORING_RHOS: [f64; 4] = [0.0, 0.05, 0.2, 0.4];
 
-/// Monitoring-mode study: stop-at-convergence (§3.2.2 as written) vs
-/// continuous re-probing with fresh re-measurement of `v⁰`. Under
-/// heavy-tailed noise the continuous mode acts like a light annealer —
-/// it escapes ridge basins that trap the stopping version — at the cost
-/// of evaluating probe batches forever.
-pub fn monitoring(steps: usize, reps: usize, seed: u64) -> Table {
-    let workers = worker_count(reps);
-    let mut cells = Vec::with_capacity(MONITORING_RHOS.len() * 2);
-    for ri in 0..MONITORING_RHOS.len() {
-        for continuous in [false, true] {
-            cells.push(monitoring_cell_in(
-                workers, ri, continuous, steps, reps, seed,
-            ));
-        }
-    }
-    assemble_monitoring(&cells)
-}
-
-/// One monitoring cell: `(mean NTT, mean best-true)` for
-/// `(MONITORING_RHOS[rho_idx], continuous)`, with an explicit inner
-/// worker count; same seed stream as the monolithic sweep.
-pub fn monitoring_cell_in(
-    workers: usize,
+/// One cell of the monitoring-mode study — stop-at-convergence (§3.2.2
+/// as written) vs continuous re-probing with fresh re-measurement of
+/// `v⁰`: `(mean NTT, mean best-true)` for `(MONITORING_RHOS[rho_idx],
+/// continuous)`. Under heavy-tailed noise the continuous mode acts like
+/// a light annealer — it escapes ridge basins that trap the stopping
+/// version — at the cost of evaluating probe batches forever. Serial
+/// replications, as in [`estimators_cell`].
+pub fn monitoring_cell(
     rho_idx: usize,
     continuous: bool,
     steps: usize,
@@ -215,7 +188,7 @@ pub fn monitoring_cell_in(
         ..ProConfig::default()
     };
     let avg = average_sessions_in(
-        workers,
+        1,
         reps,
         stream_seed(seed, u64::from(continuous) + 2),
         rho,
@@ -326,7 +299,11 @@ mod tests {
 
     #[test]
     fn estimator_table_shape() {
-        let t = estimators(50, 4, 0.2, 2);
+        let n = estimator_noises(0.2).len();
+        let cells: Vec<f64> = (0..ESTIMATORS.len() * n)
+            .map(|p| estimators_cell(p / n, p % n, 50, 4, 0.2, 2))
+            .collect();
+        let t = assemble_estimators(0.2, &cells);
         assert_eq!(t.rows.len(), 5);
         assert_eq!(t.header.len(), 4);
         assert_eq!(t.labels[1], "min3");
@@ -346,7 +323,10 @@ mod tests {
 
     #[test]
     fn monitoring_table_shape() {
-        let t = monitoring(60, 6, 4);
+        let cells: Vec<(f64, f64)> = (0..MONITORING_RHOS.len() * 2)
+            .map(|p| monitoring_cell(p / 2, p % 2 == 1, 60, 6, 4))
+            .collect();
+        let t = assemble_monitoring(&cells);
         assert_eq!(t.rows.len(), 4);
         for row in &t.rows {
             assert!(row[1] > 0.0 && row[3] > 0.0);

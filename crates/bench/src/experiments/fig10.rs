@@ -11,9 +11,8 @@
 //! (`ρ = 0.05` dipping below `ρ = 0`) by kicking the search out of poor
 //! local minima.
 
-use crate::average_sessions_in;
 use crate::report::Table;
-use harmony_cluster::pool::worker_count;
+use crate::{average_sessions_in, AvgResult};
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, ProOptimizer, TunerConfig};
 use harmony_surface::{Gs2Model, Objective};
@@ -52,113 +51,74 @@ impl Default for Fig10Config {
     }
 }
 
-/// The extended-sweep idle throughputs (`run_extended` row order).
+/// The extended-sweep idle throughputs ([`assemble_extended`] row order).
 pub const EXTENDED_RHOS: [f64; 5] = [0.40, 0.45, 0.50, 0.55, 0.60];
+
+/// Averages one `(ρ, K)` cell's replications under `mode`.
+///
+/// The replications run serially: each cell is one harness subtask, and
+/// the task-graph pool owns all parallelism. Every replication seed is
+/// `stream_seed(cfg.seed ^ (k << seed_shift), rep)`.
+fn average_cell(
+    rho: f64,
+    k: usize,
+    cfg: &Fig10Config,
+    mode: SamplingMode,
+    seed_shift: u32,
+) -> AvgResult {
+    let gs2 = Gs2Model::paper_scale();
+    let noise = if rho == 0.0 {
+        Noise::None
+    } else {
+        Noise::Pareto {
+            alpha: cfg.alpha,
+            rho,
+        }
+    };
+    let base_seed = cfg.seed ^ ((k as u64) << seed_shift);
+    average_sessions_in(1, cfg.reps, base_seed, rho, |seed| {
+        let tuner = OnlineTuner::new(TunerConfig {
+            procs: cfg.procs,
+            max_steps: cfg.steps,
+            estimator: Estimator::MinOfK(k),
+            mode,
+            seed,
+            full_occupancy: false,
+            exploit_width: 6,
+        });
+        let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
+        tuner
+            .run(&gs2, &noise, &mut opt)
+            .expect("tuning session produced a recommendation")
+    })
+}
 
 /// Average NTT for one `(ρ, K)` cell, with its standard error.
 pub fn cell_with_sem(rho: f64, k: usize, cfg: &Fig10Config) -> (f64, f64) {
-    cell_with_sem_in(worker_count(cfg.reps), rho, k, cfg)
-}
-
-/// [`cell_with_sem`] with an explicit inner replication worker count.
-///
-/// Harness subtasks pass `workers == 1` so the task-graph pool owns all
-/// parallelism; the cell value is bit-identical for any worker count
-/// because every replication seed is `stream_seed(cell_seed, rep)`.
-pub fn cell_with_sem_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> (f64, f64) {
-    let gs2 = Gs2Model::paper_scale();
-    let noise = if rho == 0.0 {
-        Noise::None
-    } else {
-        Noise::Pareto {
-            alpha: cfg.alpha,
-            rho,
-        }
-    };
-    let avg = average_sessions_in(
-        workers,
-        cfg.reps,
-        cfg.seed ^ (k as u64) << 32,
-        rho,
-        |seed| {
-            let tuner = OnlineTuner::new(TunerConfig {
-                procs: cfg.procs,
-                max_steps: cfg.steps,
-                estimator: Estimator::MinOfK(k),
-                mode: SamplingMode::SequentialSteps,
-                seed,
-                full_occupancy: false,
-                exploit_width: 6,
-            });
-            let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-            tuner
-                .run(&gs2, &noise, &mut opt)
-                .expect("tuning session produced a recommendation")
-        },
-    );
+    let avg = average_cell(rho, k, cfg, SamplingMode::SequentialSteps, 32);
     (avg.mean_ntt, avg.sem_ntt)
 }
 
-/// Average NTT for one *packed-scheduling* `(ρ, K)` cell (§5.2 sweep).
+/// Average NTT for one *packed-scheduling* `(ρ, K)` cell — the §5.2
+/// counterpoint to Fig. 10, where `P = 64` processors evaluate all
+/// `n·K` samples of a batch concurrently ("we can set K = 10 with no
+/// additional cost"). Expected shape: NTT barely grows with K (only
+/// estimate quality changes), so multi-sampling becomes strictly
+/// advisable.
 ///
 /// Seed stream `cfg.seed ^ (k << 40)` is disjoint from the sequential
 /// sweep's `cfg.seed ^ (k << 32)` by construction.
-pub fn packed_cell_in(workers: usize, rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
-    let gs2 = Gs2Model::paper_scale();
-    let noise = if rho == 0.0 {
-        Noise::None
-    } else {
-        Noise::Pareto {
-            alpha: cfg.alpha,
-            rho,
-        }
-    };
-    let avg = average_sessions_in(
-        workers,
-        cfg.reps,
-        cfg.seed ^ ((k as u64) << 40),
-        rho,
-        |seed| {
-            let tuner = OnlineTuner::new(TunerConfig {
-                procs: cfg.procs,
-                max_steps: cfg.steps,
-                estimator: Estimator::MinOfK(k),
-                mode: SamplingMode::Packed,
-                seed,
-                full_occupancy: false,
-                exploit_width: 6,
-            });
-            let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-            tuner
-                .run(&gs2, &noise, &mut opt)
-                .expect("tuning session produced a recommendation")
-        },
-    );
-    avg.mean_ntt
+pub fn packed_cell(rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
+    average_cell(rho, k, cfg, SamplingMode::Packed, 40).mean_ntt
 }
 
-/// Average NTT for one `(ρ, K)` cell.
-pub fn cell(rho: f64, k: usize, cfg: &Fig10Config) -> f64 {
-    cell_with_sem(rho, k, cfg).0
-}
-
-/// The extension beyond the paper's grid: on our synthetic surface the
-/// interior optimum `K* > 1` becomes decisive at higher idle throughput
-/// than in the paper (see EXPERIMENTS.md); this table sweeps
-/// `ρ ∈ {0.40, …, 0.60}` with standard errors so the crossover is
-/// visible beyond replication noise.
-pub fn run_extended(cfg: &Fig10Config) -> Table {
-    let workers = worker_count(cfg.reps);
-    let cells: Vec<(f64, f64)> = EXTENDED_RHOS
-        .iter()
-        .flat_map(|&rho| cfg.ks.iter().map(move |&k| (rho, k)))
-        .map(|(rho, k)| cell_with_sem_in(workers, rho, k, cfg))
-        .collect();
-    assemble_extended(cfg, &cells)
-}
-
-/// Reassembles the extended table from ρ-major `(ntt, sem)` cells
-/// (`cells[ri * ks.len() + ki]`), in exact canonical row/column order.
+/// Assembles the extension beyond the paper's grid from ρ-major
+/// `(ntt, sem)` cells (`cells[ri * ks.len() + ki]`), in exact canonical
+/// row/column order. On our synthetic surface the interior optimum
+/// `K* > 1` becomes decisive at higher idle throughput than in the
+/// paper (see EXPERIMENTS.md); this table sweeps `ρ ∈ {0.40, …, 0.60}`
+/// with standard errors so the crossover is visible beyond replication
+/// noise.
 pub fn assemble_extended(cfg: &Fig10Config, cells: &[(f64, f64)]) -> Table {
     assert_eq!(cells.len(), EXTENDED_RHOS.len() * cfg.ks.len());
     let mut header: Vec<String> = vec!["rho".into()];
@@ -180,36 +140,10 @@ pub fn assemble_extended(cfg: &Fig10Config, cells: &[(f64, f64)]) -> Table {
     table
 }
 
-/// The §5.2 counterpoint to Fig. 10: the same sweep under *packed*
-/// scheduling, where `P = 64` processors evaluate all `n·K` samples of a
-/// batch concurrently — "we can set K = 10 with no additional cost".
-/// Expected shape: NTT barely grows with K (only estimate quality
-/// changes), so multi-sampling becomes strictly advisable.
-pub fn run_packed(cfg: &Fig10Config) -> Table {
-    let workers = worker_count(cfg.reps);
-    let cells: Vec<f64> = cfg
-        .ks
-        .iter()
-        .flat_map(|&k| cfg.rhos.iter().map(move |&rho| (rho, k)))
-        .map(|(rho, k)| packed_cell_in(workers, rho, k, cfg))
-        .collect();
-    assemble_grid(cfg, "fig10_packed", &cells)
-}
-
-/// The Fig. 10 table: one row per `K`, one column per `ρ`.
-pub fn run(cfg: &Fig10Config) -> Table {
-    let workers = worker_count(cfg.reps);
-    let cells: Vec<f64> = cfg
-        .ks
-        .iter()
-        .flat_map(|&k| cfg.rhos.iter().map(move |&rho| (rho, k)))
-        .map(|(rho, k)| cell_with_sem_in(workers, rho, k, cfg).0)
-        .collect();
-    assemble_grid(cfg, "fig10_multisample", &cells)
-}
-
-/// Reassembles a K×ρ grid table from K-major NTT cells
-/// (`cells[ki * rhos.len() + ri]`), in exact canonical row/column order.
+/// Assembles a K×ρ grid table — Fig. 10 itself or its packed
+/// counterpart — from K-major NTT cells (`cells[ki * rhos.len() + ri]`),
+/// in exact canonical row/column order: one row per `K`, one column per
+/// `ρ`.
 pub fn assemble_grid(cfg: &Fig10Config, title: &str, cells: &[f64]) -> Table {
     assert_eq!(cells.len(), cfg.ks.len() * cfg.rhos.len());
     let mut header: Vec<String> = vec!["k".into()];
@@ -244,8 +178,22 @@ pub fn optimal_k(table: &Table) -> Table {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The Fig. 10 grid computed cell by cell, as the harness does.
+    pub(crate) fn grid(cfg: &Fig10Config) -> Table {
+        let cells: Vec<f64> = cfg
+            .ks
+            .iter()
+            .flat_map(|&k| {
+                cfg.rhos
+                    .iter()
+                    .map(move |&rho| cell_with_sem(rho, k, cfg).0)
+            })
+            .collect();
+        assemble_grid(cfg, "fig10_multisample", &cells)
+    }
 
     fn small() -> Fig10Config {
         Fig10Config {
@@ -259,7 +207,7 @@ mod tests {
 
     #[test]
     fn table_shape() {
-        let t = run(&small());
+        let t = grid(&small());
         assert_eq!(t.rows.len(), 3);
         assert_eq!(t.header.len(), 3);
         for row in &t.rows {
@@ -271,7 +219,7 @@ mod tests {
     fn rho_zero_grows_with_k() {
         // redundant samples burn budget without information: NTT at
         // rho=0 must increase in K
-        let t = run(&small());
+        let t = grid(&small());
         let col = 1; // rho 0.0
         assert!(
             t.rows[2][col] > t.rows[0][col],
@@ -283,7 +231,7 @@ mod tests {
 
     #[test]
     fn optimal_k_extraction() {
-        let t = run(&small());
+        let t = grid(&small());
         let opt = optimal_k(&t);
         assert_eq!(opt.rows.len(), 2);
         // at rho=0 the optimum is K=1 by construction

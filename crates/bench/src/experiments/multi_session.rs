@@ -43,37 +43,20 @@ pub const K_NEIGHBORS: usize = 4;
 /// Samples per estimate — min-of-K as in the paper's §5 policy.
 const SAMPLES: usize = 3;
 
-/// One fleet-size cell on `workers` threads — the harness fan-out
-/// unit. `ci` indexes [`SESSION_COUNTS`]; returns the row values after
-/// the leading fleet-size coordinate, in [`assemble_multi_session`]
-/// column order.
+/// One fleet-size cell — the harness fan-out unit: a fleet of
+/// `SESSION_COUNTS[ci]` concurrent sessions against fresh shared tiers,
+/// on `workers` threads. Returns the row values after the leading
+/// fleet-size coordinate, in [`assemble_multi_session`] column order.
+///
+/// Unlike the other replication cells this one keeps its worker count:
+/// its worker-count-independence test is the crate's only run of
+/// concurrent sessions on shared tiers under the wave-flush protocol.
 pub fn multi_session_cell_in(workers: usize, ci: usize, steps: usize, seed: u64) -> Vec<f64> {
-    fleet_in(workers, SESSION_COUNTS[ci], steps, seed)
-}
-
-/// Runs one fleet of `sessions` concurrent sessions against fresh
-/// shared tiers on `workers` threads; see [`multi_session_cell_in`]
-/// for the returned column order.
-pub fn fleet_in(workers: usize, sessions: usize, steps: usize, seed: u64) -> Vec<f64> {
-    let gs2 = Gs2Model::paper_scale();
-    let costs = SharedPerfDb::new(gs2.space().clone(), K_NEIGHBORS);
-    let estimates = SharedPerfDb::new(gs2.space().clone(), K_NEIGHBORS);
-    fleet_with(workers, sessions, steps, seed, &costs, &estimates)
-}
-
-/// [`fleet_in`] against caller-owned tiers — lets a driver persist the
-/// populated tiers afterwards (e.g. checkpoint them for a later fleet).
-/// Both tiers are flushed on return.
-pub fn fleet_with(
-    workers: usize,
-    sessions: usize,
-    steps: usize,
-    seed: u64,
-    costs: &SharedPerfDb,
-    estimates: &SharedPerfDb,
-) -> Vec<f64> {
+    let sessions = SESSION_COUNTS[ci];
     let gs2 = Gs2Model::paper_scale();
     let noise = Noise::paper_default(RHO);
+    let costs = SharedPerfDb::new(gs2.space().clone(), K_NEIGHBORS);
+    let estimates = SharedPerfDb::new(gs2.space().clone(), K_NEIGHBORS);
     let outcomes: Vec<(f64, bool)> = par_waves_in(
         workers,
         sessions,
@@ -83,7 +66,7 @@ pub fn fleet_with(
             let cfg = ServerConfig::new(PROCS, steps, Estimator::MinOfK(SAMPLES), s)
                 .expect("valid multi-session server config");
             let mut opt = ProOptimizer::with_defaults(gs2.space().clone());
-            let center = warm_start_center(estimates);
+            let center = warm_start_center(&estimates);
             let warmed = center.is_some();
             if let Some(c) = &center {
                 opt.recenter(c);
@@ -94,7 +77,7 @@ pub fn fleet_with(
                 &mut opt,
                 cfg,
                 &FaultPlan::none(),
-                SharedSession::new(costs, estimates),
+                SharedSession::new(&costs, &estimates),
             )
             .expect("fault-free session terminates Ok");
             (out.best_true_cost, warmed)
@@ -118,18 +101,8 @@ pub fn fleet_with(
     ]
 }
 
-/// Computes the whole T7 table, `workers` threads inside each cell —
-/// byte-identical to the harness fan-out (cells are
-/// worker-count-independent).
-pub fn t7_multi_session(workers: usize, steps: usize, seed: u64) -> Table {
-    let cells: Vec<Vec<f64>> = (0..SESSION_COUNTS.len())
-        .map(|ci| multi_session_cell_in(workers, ci, steps, seed))
-        .collect();
-    assemble_multi_session(&cells)
-}
-
 /// Reassembles the T7 table from per-cell values in [`SESSION_COUNTS`]
-/// order — byte-identical to the monolithic computation.
+/// order.
 pub fn assemble_multi_session(cells: &[Vec<f64>]) -> Table {
     assert_eq!(cells.len(), SESSION_COUNTS.len());
     let mut table = Table::new(

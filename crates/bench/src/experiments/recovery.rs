@@ -14,7 +14,6 @@
 //! outcome bit for bit, and the mean WAL/snapshot footprint.
 
 use crate::report::Table;
-use harmony_cluster::pool::par_map_indexed_in;
 use harmony_cluster::FaultPlan;
 use harmony_core::server::{run_session, RecoveryConfig, ServerConfig, SessionOptions};
 use harmony_core::{Estimator, ProOptimizer, TuningOutcome};
@@ -99,23 +98,38 @@ struct Sweep {
     seed: u64,
 }
 
-/// Raw values of one sweep cell, in [`assemble_recovery`] column order
-/// (without the leading crash/snapshot coordinates).
-fn cell(
-    gs2: &Gs2Model,
-    noise: &Noise,
-    workers: usize,
+/// Computes one (crash × snapshot) cell — the harness fan-out unit.
+/// `ci`/`si` index [`CRASH_RATES`] and [`SNAPSHOT_EVERY`]; returns the
+/// raw values in [`assemble_recovery`] column order (without the
+/// leading crash/snapshot coordinates). The replications run serially:
+/// the task-graph pool owns all parallelism.
+pub fn recovery_cell(
     ci: usize,
     si: usize,
-    sw: &Sweep,
+    procs: usize,
+    steps: usize,
+    reps: usize,
+    rho: f64,
+    seed: u64,
 ) -> Vec<f64> {
+    let gs2 = Gs2Model::paper_scale();
+    let noise = Noise::paper_default(rho);
+    let sw = Sweep {
+        procs,
+        steps,
+        reps,
+        rho,
+        seed,
+    };
     let crash = CRASH_RATES[ci];
     let snap = SNAPSHOT_EVERY[si];
     let cell_salt = (crash * 1000.0) as u64 * 7919 + snap;
-    let reps: Vec<Rep> = par_map_indexed_in(workers, sw.reps, |i| {
-        let s = stream_seed(stream_seed(sw.seed, cell_salt), i as u64);
-        run_rep(gs2, noise, crash, snap, s, sw)
-    });
+    let reps: Vec<Rep> = (0..sw.reps)
+        .map(|i| {
+            let s = stream_seed(stream_seed(sw.seed, cell_salt), i as u64);
+            run_rep(&gs2, &noise, crash, snap, s, &sw)
+        })
+        .collect();
     let ok: Vec<&TuningOutcome> = reps.iter().filter_map(|r| r.outcome.as_ref()).collect();
     let ntt = if ok.is_empty() {
         f64::NAN
@@ -137,35 +151,8 @@ fn cell(
     ]
 }
 
-/// Computes one (crash × snapshot) cell on `workers` threads — the
-/// harness fan-out unit. `ci`/`si` index [`CRASH_RATES`] and
-/// [`SNAPSHOT_EVERY`].
-#[allow(clippy::too_many_arguments)]
-pub fn recovery_cell_in(
-    workers: usize,
-    ci: usize,
-    si: usize,
-    procs: usize,
-    steps: usize,
-    reps: usize,
-    rho: f64,
-    seed: u64,
-) -> Vec<f64> {
-    let gs2 = Gs2Model::paper_scale();
-    let noise = Noise::paper_default(rho);
-    let sw = Sweep {
-        procs,
-        steps,
-        reps,
-        rho,
-        seed,
-    };
-    cell(&gs2, &noise, workers, ci, si, &sw)
-}
-
 /// Reassembles the T6 table from per-cell values in canonical (crash
-/// outer, snapshot inner) order — byte-identical to the monolithic
-/// computation.
+/// outer, snapshot inner) order.
 pub fn assemble_recovery(cells: &[Vec<f64>]) -> Table {
     assert_eq!(cells.len(), CRASH_RATES.len() * SNAPSHOT_EVERY.len());
     let mut table = Table::new(
@@ -191,33 +178,22 @@ pub fn assemble_recovery(cells: &[Vec<f64>]) -> Table {
     table
 }
 
-/// The full monolithic sweep (tests and standalone use; the harness
-/// fans the cells out instead).
-pub fn table_recovery(procs: usize, steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let cells: Vec<Vec<f64>> = (0..CRASH_RATES.len() * SNAPSHOT_EVERY.len())
-        .map(|p| {
-            recovery_cell_in(
-                1,
-                p / SNAPSHOT_EVERY.len(),
-                p % SNAPSHOT_EVERY.len(),
-                procs,
-                steps,
-                reps,
-                rho,
-                seed,
-            )
-        })
-        .collect();
-    assemble_recovery(&cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The whole sweep computed cell by cell, as the harness does.
+    fn sweep(procs: usize, steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
+        let n = SNAPSHOT_EVERY.len();
+        let cells: Vec<Vec<f64>> = (0..CRASH_RATES.len() * n)
+            .map(|p| recovery_cell(p / n, p % n, procs, steps, reps, rho, seed))
+            .collect();
+        assemble_recovery(&cells)
+    }
+
     #[test]
     fn sweep_shape_and_exactness() {
-        let t = table_recovery(6, 20, 2, 0.1, 7);
+        let t = sweep(6, 20, 2, 0.1, 7);
         assert_eq!(t.rows.len(), CRASH_RATES.len() * SNAPSHOT_EVERY.len());
         for row in &t.rows {
             // journalling and mid-run resume are observationally exact
@@ -233,12 +209,12 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_merge_exact() {
-        let a = table_recovery(6, 15, 2, 0.1, 11);
-        let b = table_recovery(6, 15, 2, 0.1, 11);
+        let a = sweep(6, 15, 2, 0.1, 11);
+        let b = sweep(6, 15, 2, 0.1, 11);
         assert_eq!(a.rows, b.rows);
-        // worker count must not change cell values
-        let cell1 = recovery_cell_in(1, 1, 1, 6, 15, 2, 0.1, 11);
-        let cell4 = recovery_cell_in(4, 1, 1, 6, 15, 2, 0.1, 11);
-        assert_eq!(cell1, cell4);
+        // the merge places each cell at its canonical row
+        let row = &a.rows[SNAPSHOT_EVERY.len() + 1];
+        assert_eq!(row[..2], [CRASH_RATES[1], SNAPSHOT_EVERY[1] as f64]);
+        assert_eq!(row[2..], recovery_cell(1, 1, 6, 15, 2, 0.1, 11)[..]);
     }
 }

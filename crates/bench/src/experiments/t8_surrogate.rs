@@ -13,11 +13,9 @@
 //!
 //! The table fans out as one harness subtask per `(rho, optimizer)`
 //! cell; cell seed streams depend only on `(seed, name, rho index)`,
-//! so the merged table is bit-identical to the monolithic computation
-//! at any worker count.
+//! so the merged table is bit-identical at any harness worker count.
 
 use crate::report::Table;
-use harmony_cluster::pool::par_map_indexed_in;
 use harmony_cluster::SamplingMode;
 use harmony_core::{Estimator, OnlineTuner, TunerConfig};
 use harmony_surface::Gs2Model;
@@ -52,47 +50,42 @@ fn cell_seed(seed: u64, oi: usize, ri: usize) -> u64 {
     )
 }
 
-/// One T8 cell on `workers` threads — the harness fan-out unit.
-/// `oi` indexes [`T8_OPTIMIZERS`], `ri` indexes [`T8_RHOS`]; returns
-/// the row values after the leading ρ coordinate, in
-/// [`assemble_t8`] column order.
-pub fn t8_cell_in(
-    workers: usize,
-    oi: usize,
-    ri: usize,
-    steps: usize,
-    reps: usize,
-    seed: u64,
-) -> Vec<f64> {
+/// One T8 cell — the harness fan-out unit. `oi` indexes
+/// [`T8_OPTIMIZERS`], `ri` indexes [`T8_RHOS`]; returns the row values
+/// after the leading ρ coordinate, in [`assemble_t8`] column order. The
+/// replications run serially: the task-graph pool owns all parallelism.
+pub fn t8_cell(oi: usize, ri: usize, steps: usize, reps: usize, seed: u64) -> Vec<f64> {
     let name = T8_OPTIMIZERS[oi];
     let rho = T8_RHOS[ri];
     let gs2 = Gs2Model::paper_scale();
     let noise = Noise::paper_default(rho);
     let (_, global) = harmony_surface::best_on_lattice(&gs2).expect("discrete lattice");
     let base = cell_seed(seed, oi, ri);
-    let rows = par_map_indexed_in(workers, reps, |i| {
-        let s = stream_seed(base, i as u64);
-        let tuner = OnlineTuner::new(TunerConfig {
-            procs: PROCS,
-            max_steps: steps,
-            estimator: Estimator::MinOfK(SAMPLES),
-            mode: SamplingMode::SequentialSteps,
-            seed: s,
-            full_occupancy: false,
-            exploit_width: 6,
-        });
-        let mut opt = make_optimizer(name, &gs2, s);
-        let out = tuner
-            .run(&gs2, &noise, opt.as_mut())
-            .expect("tuning session produced a recommendation");
-        (
-            out.total_time(),
-            out.ntt(rho),
-            out.best_true_cost,
-            out.evaluations,
-            out.steps_to_quality(QUALITY_FACTOR * global),
-        )
-    });
+    let rows: Vec<_> = (0..reps)
+        .map(|i| {
+            let s = stream_seed(base, i as u64);
+            let tuner = OnlineTuner::new(TunerConfig {
+                procs: PROCS,
+                max_steps: steps,
+                estimator: Estimator::MinOfK(SAMPLES),
+                mode: SamplingMode::SequentialSteps,
+                seed: s,
+                full_occupancy: false,
+                exploit_width: 6,
+            });
+            let mut opt = make_optimizer(name, &gs2, s);
+            let out = tuner
+                .run(&gs2, &noise, opt.as_mut())
+                .expect("tuning session produced a recommendation");
+            (
+                out.total_time(),
+                out.ntt(rho),
+                out.best_true_cost,
+                out.evaluations,
+                out.steps_to_quality(QUALITY_FACTOR * global),
+            )
+        })
+        .collect();
     let n = reps as f64;
     let reached: Vec<usize> = rows.iter().filter_map(|r| r.4).collect();
     let mean_steps = if reached.is_empty() {
@@ -110,28 +103,8 @@ pub fn t8_cell_in(
     ]
 }
 
-/// Computes the whole T8 table, `workers` threads inside each cell —
-/// byte-identical to the harness fan-out (cells are
-/// worker-count-independent).
-pub fn t8_surrogate(workers: usize, steps: usize, reps: usize, seed: u64) -> Table {
-    let cells: Vec<Vec<f64>> = (0..T8_RHOS.len() * T8_OPTIMIZERS.len())
-        .map(|p| {
-            t8_cell_in(
-                workers,
-                p % T8_OPTIMIZERS.len(),
-                p / T8_OPTIMIZERS.len(),
-                steps,
-                reps,
-                seed,
-            )
-        })
-        .collect();
-    assemble_t8(&cells)
-}
-
 /// Reassembles the T8 table from per-cell values in ρ-major,
-/// [`T8_OPTIMIZERS`]-minor order — byte-identical to the monolithic
-/// computation.
+/// [`T8_OPTIMIZERS`]-minor order.
 pub fn assemble_t8(cells: &[Vec<f64>]) -> Table {
     assert_eq!(cells.len(), T8_RHOS.len() * T8_OPTIMIZERS.len());
     let mut table = Table::new(
@@ -161,14 +134,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cell_is_worker_count_independent() {
-        let a = t8_cell_in(1, 0, 0, 8, 4, 77);
-        let b = t8_cell_in(4, 0, 0, 8, 4, 77);
-        let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(to_bits(&a), to_bits(&b));
-    }
-
-    #[test]
     fn assemble_prefixes_rho_and_labels_optimizers() {
         let cells: Vec<Vec<f64>> = (0..T8_RHOS.len() * T8_OPTIMIZERS.len())
             .map(|i| vec![i as f64; 6])
@@ -180,15 +145,5 @@ mod tests {
             assert_eq!(row.len(), 7);
         }
         assert_eq!(t.labels[0], T8_OPTIMIZERS[0]);
-    }
-
-    #[test]
-    fn full_table_matches_cellwise_assembly() {
-        let direct = t8_surrogate(2, 6, 2, 5);
-        let cells: Vec<Vec<f64>> = (0..T8_RHOS.len() * T8_OPTIMIZERS.len())
-            .map(|p| t8_cell_in(1, p % T8_OPTIMIZERS.len(), p / T8_OPTIMIZERS.len(), 6, 2, 5))
-            .collect();
-        let merged = assemble_t8(&cells);
-        assert_eq!(direct.to_csv(), merged.to_csv());
     }
 }

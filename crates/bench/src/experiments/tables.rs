@@ -3,7 +3,6 @@
 
 use crate::average_sessions_in;
 use crate::report::Table;
-use harmony_cluster::pool::{par_map_indexed_in, worker_count};
 use harmony_cluster::SamplingMode;
 use harmony_core::baselines::{
     ExhaustiveSweep, GeneticAlgorithm, RandomSearch, SimulatedAnnealing,
@@ -126,52 +125,31 @@ pub const BASELINES: [&str; 7] = [
     "exhaustive",
 ];
 
-/// T3 — on-line suitability of global randomized baselines (§2): average
-/// `Total_Time(K)` and the true cost of the returned configuration.
-pub fn baselines(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
-    let workers = worker_count(reps);
-    let rows: Vec<Vec<f64>> = BASELINES
-        .iter()
-        .map(|name| baselines_row_in(workers, name, steps, reps, rho, seed))
-        .collect();
-    assemble_baselines(&rows)
-}
-
-/// One T3 row (one algorithm), with an explicit inner worker count.
+/// One row of T3 — on-line suitability of global randomized baselines
+/// (§2): average `Total_Time(K)`, NTT, the true cost of the returned
+/// configuration, and the converged fraction for one algorithm.
 ///
 /// The row's seed stream depends only on `(seed, name)`, so per-name
-/// harness subtasks reproduce the monolithic table bit-for-bit.
-pub fn baselines_row_in(
-    workers: usize,
-    name: &str,
-    steps: usize,
-    reps: usize,
-    rho: f64,
-    seed: u64,
-) -> Vec<f64> {
+/// harness subtasks are independent of scheduling; the replications
+/// run serially because the task-graph pool owns all parallelism.
+pub fn baselines_row(name: &str, steps: usize, reps: usize, rho: f64, seed: u64) -> Vec<f64> {
     let gs2 = Gs2Model::paper_scale();
     let noise = Noise::paper_default(rho);
-    let avg = average_sessions_in(
-        workers,
-        reps,
-        stream_seed(seed, hash_name(name)),
-        rho,
-        |s| {
-            let tuner = OnlineTuner::new(TunerConfig {
-                procs: 64,
-                max_steps: steps,
-                estimator: Estimator::Single,
-                mode: SamplingMode::SequentialSteps,
-                seed: s,
-                full_occupancy: false,
-                exploit_width: 6,
-            });
-            let mut opt = make_optimizer(name, &gs2, s);
-            tuner
-                .run(&gs2, &noise, opt.as_mut())
-                .expect("tuning session produced a recommendation")
-        },
-    );
+    let avg = average_sessions_in(1, reps, stream_seed(seed, hash_name(name)), rho, |s| {
+        let tuner = OnlineTuner::new(TunerConfig {
+            procs: 64,
+            max_steps: steps,
+            estimator: Estimator::Single,
+            mode: SamplingMode::SequentialSteps,
+            seed: s,
+            full_occupancy: false,
+            exploit_width: 6,
+        });
+        let mut opt = make_optimizer(name, &gs2, s);
+        tuner
+            .run(&gs2, &noise, opt.as_mut())
+            .expect("tuning session produced a recommendation")
+    });
     vec![
         avg.mean_total,
         avg.mean_ntt,
@@ -193,25 +171,14 @@ pub fn assemble_baselines(rows: &[Vec<f64>]) -> Table {
     table
 }
 
-/// Time-to-quality: mean number of time steps until each algorithm's
-/// deployed configuration is within each `factor` of the global
-/// optimum, and the fraction of sessions that ever get there.
+/// One time-to-quality row: mean number of time steps until one
+/// algorithm's deployed configuration is within each `factor` of the
+/// global optimum, and the fraction of sessions that ever get there.
 /// Complements T3: `Total_Time` rewards cheap transients, this rewards
 /// fast descent — at the loose threshold the local methods shine, at
-/// the tight one only global searchers reliably arrive.
-pub fn time_to_quality(steps: usize, reps: usize, rho: f64, factors: &[f64], seed: u64) -> Table {
-    let workers = worker_count(reps);
-    let rows: Vec<Vec<f64>> = BASELINES
-        .iter()
-        .map(|name| time_to_quality_row_in(workers, name, steps, reps, rho, factors, seed))
-        .collect();
-    assemble_time_to_quality(factors, &rows)
-}
-
-/// One time-to-quality row (one algorithm), with an explicit inner
-/// worker count; same seed stream as the monolithic table.
-pub fn time_to_quality_row_in(
-    workers: usize,
+/// the tight one only global searchers reliably arrive. Same seed
+/// stream and serial replications as [`baselines_row`].
+pub fn time_to_quality_row(
     name: &str,
     steps: usize,
     reps: usize,
@@ -222,27 +189,29 @@ pub fn time_to_quality_row_in(
     let gs2 = Gs2Model::paper_scale();
     let noise = Noise::paper_default(rho);
     let (_, global) = harmony_surface::best_on_lattice(&gs2).expect("discrete lattice");
-    let rows = par_map_indexed_in(workers, reps, |i| {
-        let s = stream_seed(stream_seed(seed, hash_name(name)), i as u64);
-        let tuner = OnlineTuner::new(TunerConfig {
-            procs: 64,
-            max_steps: steps,
-            estimator: Estimator::Single,
-            mode: SamplingMode::SequentialSteps,
-            seed: s,
-            full_occupancy: false,
-            exploit_width: 6,
-        });
-        let mut opt = make_optimizer(name, &gs2, s);
-        let out = tuner
-            .run(&gs2, &noise, opt.as_mut())
-            .expect("tuning session produced a recommendation");
-        let hits: Vec<Option<usize>> = factors
-            .iter()
-            .map(|f| out.steps_to_quality(f * global))
-            .collect();
-        (hits, out.best_true_cost)
-    });
+    let rows: Vec<(Vec<Option<usize>>, f64)> = (0..reps)
+        .map(|i| {
+            let s = stream_seed(stream_seed(seed, hash_name(name)), i as u64);
+            let tuner = OnlineTuner::new(TunerConfig {
+                procs: 64,
+                max_steps: steps,
+                estimator: Estimator::Single,
+                mode: SamplingMode::SequentialSteps,
+                seed: s,
+                full_occupancy: false,
+                exploit_width: 6,
+            });
+            let mut opt = make_optimizer(name, &gs2, s);
+            let out = tuner
+                .run(&gs2, &noise, opt.as_mut())
+                .expect("tuning session produced a recommendation");
+            let hits: Vec<Option<usize>> = factors
+                .iter()
+                .map(|f| out.steps_to_quality(f * global))
+                .collect();
+            (hits, out.best_true_cost)
+        })
+        .collect();
     let mut row = Vec::new();
     for (fi, _) in factors.iter().enumerate() {
         let reached: Vec<usize> = rows.iter().filter_map(|r| r.0[fi]).collect();
@@ -308,6 +277,15 @@ mod tests {
         }
         // survival decays with k
         assert!(t.rows[4][1] < t.rows[0][1]);
+    }
+
+    /// T3 computed row by row, as the harness does.
+    fn baselines(steps: usize, reps: usize, rho: f64, seed: u64) -> Table {
+        let rows: Vec<Vec<f64>> = BASELINES
+            .iter()
+            .map(|name| baselines_row(name, steps, reps, rho, seed))
+            .collect();
+        assemble_baselines(&rows)
     }
 
     #[test]

@@ -422,6 +422,15 @@ impl RunConfig {
             metrics: None,
         }
     }
+
+    /// Where `run_all` writes `BENCH_harness.json`: next to the results
+    /// directory, in its parent. The default `results/` puts it in the
+    /// working directory; a `$HARMONY_RESULTS` run elsewhere leaves the
+    /// committed baseline alone.
+    pub fn bench_json_path(&self) -> PathBuf {
+        let dir = self.out_dir.parent().unwrap_or(&self.out_dir);
+        dir.join("BENCH_harness.json")
+    }
 }
 
 /// Wall time of one fan-out subtask job.
@@ -565,41 +574,66 @@ pub fn json_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Cost of session persistence ([`measure_recovery_overhead`]).
-pub struct RecoveryOverhead {
-    /// Median seconds per plain resilient session.
-    pub plain_s: f64,
-    /// Median seconds per journalled session (WAL + snapshots every 2
-    /// batches, in-memory journal).
-    pub journaled_s: f64,
-    /// Median over pairs of the within-pair journalled/plain time
-    /// ratio.
+/// A paired A/B timing ([`paired_overhead`]).
+pub struct PairedOverhead {
+    /// Median seconds of the baseline side.
+    pub base_s: f64,
+    /// Median seconds of the treated side.
+    pub treated_s: f64,
+    /// Median over pairs of the within-pair treated/baseline time ratio.
     pub ratio: f64,
 }
 
-impl RecoveryOverhead {
-    /// Journalled slowdown over plain, in percent (from the paired
+impl PairedOverhead {
+    /// Treated slowdown over the baseline, in percent (from the paired
     /// ratio, which cancels clock drift the separate medians keep).
     pub fn overhead_pct(&self) -> f64 {
         (self.ratio - 1.0) * 100.0
     }
 }
 
-fn median_of(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
 }
 
-/// Times `reps` back-to-back pairs of identical GS2 tuning sessions —
-/// plain resilient vs. additionally writing the WAL and a snapshot
-/// every 2 batches into an in-memory journal — and summarises the
-/// journalled slowdown as the *median of the within-pair time ratios*:
+/// Times `reps` (at least 3) interleaved pairs — `base(i)` then
+/// `treated(i)`, each returning its wall seconds — and summarises the
+/// treated slowdown as the *median of the within-pair time ratios*:
 /// each pair runs adjacently, so frequency scaling and noisy neighbours
 /// cancel inside the ratio, and the median discards scheduler outliers.
-/// A warm-up pair asserts the outcomes equal first (persistence must be
-/// observationally free), so the timing cannot be satisfied by skipping
-/// work.
-pub fn measure_recovery_overhead(reps: usize, steps: usize) -> RecoveryOverhead {
+/// Callers run their warm-up pair (and check that both sides compute
+/// the same outcome) before calling this.
+pub fn paired_overhead(
+    reps: usize,
+    mut base: impl FnMut(usize) -> f64,
+    mut treated: impl FnMut(usize) -> f64,
+) -> PairedOverhead {
+    let reps = reps.max(3);
+    let mut base_times = Vec::with_capacity(reps);
+    let mut treated_times = Vec::with_capacity(reps);
+    let mut ratios = Vec::with_capacity(reps);
+    for i in 0..reps {
+        let b = base(i);
+        let t = treated(i);
+        base_times.push(b);
+        treated_times.push(t);
+        ratios.push(t / b);
+    }
+    PairedOverhead {
+        base_s: median(base_times),
+        treated_s: median(treated_times),
+        ratio: median(ratios),
+    }
+}
+
+/// Times `reps` pairs of identical GS2 tuning sessions — plain
+/// resilient (baseline) vs. additionally writing the WAL and a snapshot
+/// every 2 batches into an in-memory journal (treated) — with
+/// [`paired_overhead`]. A warm-up pair asserts the outcomes equal first
+/// (persistence must be observationally free), so the timing cannot be
+/// satisfied by skipping work.
+pub fn measure_recovery_overhead(reps: usize, steps: usize) -> PairedOverhead {
     use harmony_core::server::{run_session, RecoveryConfig, ServerConfig, SessionOptions};
     use harmony_core::{Estimator, ProOptimizer};
     use harmony_surface::Objective;
@@ -654,23 +688,11 @@ pub fn measure_recovery_overhead(reps: usize, steps: usize) -> RecoveryOverhead 
     let (_, b) = journaled(2005);
     assert_eq!(a, b, "journalling must not change the outcome");
 
-    let reps = reps.max(3);
-    let mut plain_times = Vec::with_capacity(reps);
-    let mut journaled_times = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for i in 0..reps {
-        let seed = 2005 + i as u64;
-        let p = plain(seed).0;
-        let j = journaled(seed).0;
-        plain_times.push(p);
-        journaled_times.push(j);
-        ratios.push(j / p);
-    }
-    RecoveryOverhead {
-        plain_s: median_of(plain_times),
-        journaled_s: median_of(journaled_times),
-        ratio: median_of(ratios),
-    }
+    paired_overhead(
+        reps,
+        |i| plain(2005 + i as u64).0,
+        |i| journaled(2005 + i as u64).0,
+    )
 }
 
 /// Builds experiment `e`'s private telemetry: an in-memory sink and a
@@ -975,9 +997,9 @@ fn ablation_scale(quick: bool) -> (usize, usize) {
 }
 
 /// Runs subtask `p` of experiment `e` and returns its raw cell values.
-/// The replication loop inside every cell runs serially (`workers ==
-/// 1`): the graph pool owns all parallelism, and the cell value is
-/// worker-count-independent either way.
+/// The replication loop inside every cell runs serially, so the graph
+/// pool owns all parallelism; the one exception is the T7 fleet, whose
+/// sessions run in waves on one worker here.
 fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
     let quick = !cfg.full;
     let seed = cfg.seed;
@@ -985,40 +1007,31 @@ fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
         FIG10 => {
             let c = fig10_config(quick, seed);
             let (ki, ri) = (p / c.rhos.len(), p % c.rhos.len());
-            vec![fig10::cell_with_sem_in(1, c.rhos[ri], c.ks[ki], &c).0]
+            vec![fig10::cell_with_sem(c.rhos[ri], c.ks[ki], &c).0]
         }
         FIG10_PACKED => {
             let c = fig10_config(quick, seed);
             let (ki, ri) = (p / c.rhos.len(), p % c.rhos.len());
-            vec![fig10::packed_cell_in(1, c.rhos[ri], c.ks[ki], &c)]
+            vec![fig10::packed_cell(c.rhos[ri], c.ks[ki], &c)]
         }
         FIG10_EXTENDED => {
             let c = fig10_config(quick, seed);
             let (ri, ki) = (p / c.ks.len(), p % c.ks.len());
-            let (ntt, sem) = fig10::cell_with_sem_in(1, fig10::EXTENDED_RHOS[ri], c.ks[ki], &c);
+            let (ntt, sem) = fig10::cell_with_sem(fig10::EXTENDED_RHOS[ri], c.ks[ki], &c);
             vec![ntt, sem]
         }
         TABLE_BASELINES => {
             let (steps, reps) = table_scale(quick);
-            tables::baselines_row_in(1, tables::BASELINES[p], steps, reps, 0.1, seed)
+            tables::baselines_row(tables::BASELINES[p], steps, reps, 0.1, seed)
         }
         TABLE_TIME_TO_QUALITY => {
             let (steps, reps) = table_scale(quick);
-            tables::time_to_quality_row_in(
-                1,
-                tables::BASELINES[p],
-                steps,
-                reps,
-                0.1,
-                &[1.25, 1.1],
-                seed,
-            )
+            tables::time_to_quality_row(tables::BASELINES[p], steps, reps, 0.1, &[1.25, 1.1], seed)
         }
         ABLATION_ESTIMATORS => {
             let (steps, reps) = ablation_scale(quick);
             let nn = estimator_noise_count();
-            vec![ablations::estimators_cell_in(
-                1,
+            vec![ablations::estimators_cell(
                 p / nn,
                 p % nn,
                 steps,
@@ -1029,13 +1042,13 @@ fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
         }
         ABLATION_MONITORING => {
             let (steps, reps) = ablation_scale(quick);
-            let (ntt, bt) = ablations::monitoring_cell_in(1, p / 2, p % 2 == 1, steps, reps, seed);
+            let (ntt, bt) = ablations::monitoring_cell(p / 2, p % 2 == 1, steps, reps, seed);
             vec![ntt, bt]
         }
         TABLE_RECOVERY => {
             let (steps, reps) = if quick { (30, 3) } else { (60, 6) };
             let n = recovery::SNAPSHOT_EVERY.len();
-            recovery::recovery_cell_in(1, p / n, p % n, 8, steps, reps, 0.1, seed)
+            recovery::recovery_cell(p / n, p % n, 8, steps, reps, 0.1, seed)
         }
         MULTI_SESSION => {
             let steps = if quick { 30 } else { 60 };
@@ -1044,7 +1057,7 @@ fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
         T8_SURROGATE => {
             let (steps, reps) = t8_scale(quick);
             let n = t8_surrogate::T8_OPTIMIZERS.len();
-            t8_surrogate::t8_cell_in(1, p % n, p / n, steps, reps, seed)
+            t8_surrogate::t8_cell(p % n, p / n, steps, reps, seed)
         }
         _ => unreachable!("experiment {e} has no subtasks"),
     }
@@ -1052,9 +1065,9 @@ fn run_part(e: usize, p: usize, cfg: &RunConfig) -> Vec<f64> {
 
 /// Runs experiment `e`'s report job: unsplit experiments compute their
 /// tables whole; split experiments reassemble them from the already
-/// computed `parts` (in canonical part order), byte-identical to the
-/// monolithic computation. Emits the report into `buf` and returns the
-/// tables shared with dependent tasks.
+/// computed `parts` (in canonical part order), so the table bytes do
+/// not depend on the schedule. Emits the report into `buf` and returns
+/// the tables shared with dependent tasks.
 fn run_report(
     e: usize,
     cfg: &RunConfig,
@@ -1313,14 +1326,59 @@ mod tests {
         assert!(!glob_match("table_*", "fig01"));
     }
 
+    /// `run_all --only NAME` is the only way to regenerate an artifact:
+    /// for every task, its exact name selects exactly that task plus
+    /// its transitive deps.
     #[test]
     fn only_selection_pulls_chart_deps() {
-        let pats = vec!["charts".to_string()];
-        let sel = selected_exps(Some(&pats));
+        fn closure(e: usize, want: &mut Vec<bool>) {
+            if !want[e] {
+                want[e] = true;
+                for &d in TASKS[e].deps {
+                    closure(d, want);
+                }
+            }
+        }
+        assert_eq!(TASKS.len(), 24);
+        for (e, t) in TASKS.iter().enumerate() {
+            let mut want = vec![false; NE];
+            closure(e, &mut want);
+            let sel = selected_exps(Some(&[t.name.to_string()]));
+            assert_eq!(sel, want, "--only {}", t.name);
+        }
+        let sel = selected_exps(Some(&["charts".to_string()]));
         assert!(sel[CHARTS] && sel[FIG01] && sel[FIG10]);
         assert!(!sel[FIG02] && !sel[TABLE_BASELINES]);
         let none: Option<&[String]> = None;
         assert!(selected_exps(none).iter().all(|&s| s));
+    }
+
+    #[test]
+    fn bench_json_sits_next_to_the_results_dir() {
+        let path = |dir: &str| {
+            let mut cfg = RunConfig::new(false);
+            cfg.out_dir = PathBuf::from(dir);
+            cfg.bench_json_path()
+        };
+        assert_eq!(path("results"), PathBuf::from("BENCH_harness.json"));
+        assert_eq!(path("results/"), PathBuf::from("BENCH_harness.json"));
+        assert_eq!(
+            path("/tmp/run/results"),
+            PathBuf::from("/tmp/run/BENCH_harness.json")
+        );
+        assert_eq!(path("/"), PathBuf::from("/BENCH_harness.json"));
+    }
+
+    #[test]
+    fn paired_overhead_is_the_median_of_pair_ratios() {
+        // pair ratios 1.5, 1.0, 1.1 → median 1.1, where the ratio of
+        // the side medians (3.0 / 2.0) would report 50%
+        let base = [2.0, 1.0, 4.0];
+        let treated = [3.0, 1.0, 4.4];
+        let m = paired_overhead(3, |i| base[i], |i| treated[i]);
+        assert!((m.ratio - 1.1).abs() < 1e-12);
+        assert!((m.overhead_pct() - 10.0).abs() < 1e-9);
+        assert_eq!((m.base_s, m.treated_s), (2.0, 3.0));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Experiment harness regenerating every figure and table of the paper.
 //!
-//! Each `experiments::figNN` / `experiments::table_*` module exposes a
-//! pure `run(cfg) -> Data` function consumed both by the `src/bin/`
-//! regeneration binaries (full paper-scale parameters, CSV output) and
-//! by the Criterion benchmarks (reduced sizes). See `DESIGN.md` §3 for
-//! the experiment ↔ paper-artifact index and `EXPERIMENTS.md` for the
-//! recorded paper-vs-measured comparison.
+//! Each module under [`experiments`] exposes pure functions that
+//! compute one artifact's table: a whole `run(cfg)` for the cheap
+//! experiments, and per-cell functions plus an `assemble_*` fan-in for
+//! the sweeps the harness splits into subtasks. [`harness`] is the one
+//! driver: its task graph, run by the `run_all` binary, regenerates
+//! every artifact (`run_all --only NAME` for one); the Criterion
+//! benchmarks call the same functions at reduced sizes. See `DESIGN.md`
+//! §3 for the experiment ↔ paper-artifact index and `EXPERIMENTS.md`
+//! for the recorded paper-vs-measured comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! CSV emission and aligned-table printing for experiment binaries.
+//! CSV emission and aligned-table rendering for the experiment harness.
 
 use harmony_telemetry::Telemetry;
 use std::fmt::Write as _;
@@ -192,17 +192,10 @@ pub fn emit_table_telemetry(tel: &Telemetry, table: &Table) {
     }
 }
 
-/// Prints the table and saves its CSV, reporting the file path.
-pub fn emit(table: &Table) {
-    let mut buf = String::new();
-    emit_to(&mut buf, &results_dir(), table);
-    print!("{buf}");
-}
-
-/// [`emit`] into a string buffer and an explicit output directory —
-/// used by the parallel harness, where every task renders into its own
-/// buffer and the buffers are printed in canonical task order after the
-/// pool joins.
+/// Renders the table into a string buffer and saves its CSV under
+/// `dir`, reporting the file path. Every harness task renders into its
+/// own buffer; the buffers are printed in canonical task order after
+/// the pool joins.
 pub fn emit_to(buf: &mut String, dir: &Path, table: &Table) {
     buf.push_str(&table.render());
     match table.save_csv(dir) {

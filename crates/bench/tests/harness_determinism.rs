@@ -94,25 +94,43 @@ fn parallel_run_byte_identical_to_serial() {
 }
 
 /// The per-cell fan-out must be invisible in the output: the harness's
-/// fig10 merge jobs reassemble tables byte-identical to the pre-split
-/// monolithic `fig10::run*` computations, for serial and parallel
-/// schedules alike.
+/// fig10 merge jobs reassemble tables byte-identical to the cells
+/// computed one by one and assembled in canonical row/column order,
+/// for serial and parallel schedules alike (a merge that read its slots
+/// in completion order would fail at -j4/-j8).
 #[test]
 fn fig10_merge_matches_presplit_monolithic_output() {
     use harmony_bench::experiments::fig10;
 
-    // the monolithic (pre-split) reference at harness quick scale
+    // the canonical-order reference at harness quick scale
     let cfg10 = fig10::Fig10Config {
         reps: 50,
         seed: 2005,
         ..Default::default()
     };
-    let multisample = fig10::run(&cfg10);
+    let grid = |cell: &dyn Fn(f64, usize) -> f64| -> Vec<f64> {
+        cfg10
+            .ks
+            .iter()
+            .flat_map(|&k| cfg10.rhos.iter().map(move |&rho| cell(rho, k)))
+            .collect()
+    };
+    let multisample = fig10::assemble_grid(
+        &cfg10,
+        "fig10_multisample",
+        &grid(&|rho, k| fig10::cell_with_sem(rho, k, &cfg10).0),
+    );
+    let extended: Vec<(f64, f64)> = fig10::EXTENDED_RHOS
+        .iter()
+        .flat_map(|&rho| cfg10.ks.iter().map(move |&k| (rho, k)))
+        .map(|(rho, k)| fig10::cell_with_sem(rho, k, &cfg10))
+        .collect();
+    let packed = grid(&|rho, k| fig10::packed_cell(rho, k, &cfg10));
     let reference = [
         multisample.to_csv(),
         fig10::optimal_k(&multisample).to_csv(),
-        fig10::run_extended(&cfg10).to_csv(),
-        fig10::run_packed(&cfg10).to_csv(),
+        fig10::assemble_extended(&cfg10, &extended).to_csv(),
+        fig10::assemble_grid(&cfg10, "fig10_packed", &packed).to_csv(),
     ];
 
     let base = std::env::temp_dir().join("harmony_fig10_presplit");
@@ -134,7 +152,7 @@ fn fig10_merge_matches_presplit_monolithic_output() {
             assert_eq!(
                 &got, want,
                 "{file} from the split harness at -j{workers} differs from \
-                 the monolithic computation"
+                 the canonical-order assembly"
             );
         }
     }
