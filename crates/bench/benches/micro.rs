@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks of the hot building blocks: projection,
 //! simplex transforms, one PRO iteration, estimators, noise sampling,
-//! the DES cascade, database interpolation, and the shared tier's
-//! warm-start pick.
+//! the DES cascade, database interpolation, the shared tier's
+//! warm-start pick, and the journal append layer (directory WAL and
+//! snapshot appends, WAL line parsing).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use harmony_core::{warm_start_center, Estimator, Optimizer, ProOptimizer};
 use harmony_params::init::{initial_simplex, InitialShape};
 use harmony_params::{ParamDef, ParamSpace, Point, Rounding, StepKind};
+use harmony_recovery::{BatchRecord, RoundDelta, SessionJournal, WalRecord};
 use harmony_surface::{Gs2Model, Objective, PerfDatabase, SharedPerfDb};
 use harmony_variability::des::TwoPriorityDes;
 use harmony_variability::dist::{Distribution, Exponential, Pareto};
@@ -363,6 +365,99 @@ fn bench_stats(c: &mut Criterion) {
     });
 }
 
+/// A batch record shaped like a `server_recovery` one: a six-point PRO
+/// batch on two clients, min-of-3, so nine dispatch rounds.
+fn sample_batch_record() -> WalRecord {
+    let bits = |i: u64| f64::from_bits(0x4008_0000_0000_0000 + i * 7_919);
+    WalRecord::Batch(BatchRecord {
+        batch: 17,
+        estimates: (0..6).map(|i| Some(bits(i))).collect(),
+        rounds: (0..9)
+            .map(|r| RoundDelta {
+                step: bits(100 + r),
+                clients: vec![0, 1],
+                ok: vec![true, r % 4 != 3],
+                evicted: Vec::new(),
+                missed: usize::from(r % 4 == 3),
+                retries: usize::from(r % 4 == 3),
+                abandoned: 0,
+                duplicates: 0,
+            })
+            .collect(),
+        partial: false,
+        forced: false,
+        evaluations: 306,
+        live: vec![0, 1],
+        serials: vec![153, 154],
+        draws: vec![1_224, 1_232],
+        stats: [2, 2, 0, 1, 0, 0],
+    })
+}
+
+/// Cuts a journal file back to empty every `every` appends, so a long
+/// measurement does not grow it without bound; the cut's cost is spread
+/// over the appends and counted in their figure.
+struct Recycle {
+    path: std::path::PathBuf,
+    every: u64,
+    count: u64,
+}
+
+impl Recycle {
+    fn tick(&mut self) {
+        self.count += 1;
+        if self.count.is_multiple_of(self.every) {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&self.path)
+                .and_then(|f| f.set_len(0))
+                .expect("journal file is writable");
+        }
+    }
+}
+
+/// The journal append layer: one record appended to a directory WAL,
+/// one 2 KiB snapshot framed into the snapshot log, and one batch line
+/// parsed back.
+fn bench_journal(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("harmony-micro-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut journal = SessionJournal::at_dir(&dir).expect("journal directory");
+    let rec = sample_batch_record();
+    let mut wal = Recycle {
+        path: dir.join("wal.jsonl"),
+        every: 4_096,
+        count: 0,
+    };
+    c.bench_function("journal/append_dir", |b| {
+        b.iter(|| {
+            journal
+                .append_record(black_box(rec.clone()))
+                .expect("append");
+            wal.tick();
+        })
+    });
+    let snapshot = vec![0x5Au8; 2_048];
+    let mut log = Recycle {
+        path: dir.join("snapshots.bin"),
+        every: 256,
+        count: 0,
+    };
+    c.bench_function("journal/put_snapshot_dir", |b| {
+        b.iter(|| {
+            journal
+                .put_snapshot(17, black_box(&snapshot))
+                .expect("snapshot");
+            log.tick();
+        })
+    });
+    let line = rec.to_line();
+    c.bench_function("wal/from_line", |b| {
+        b.iter(|| WalRecord::from_line(black_box(&line)).expect("valid line"))
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     micro,
     bench_projection,
@@ -381,6 +476,7 @@ criterion_group!(
     bench_hetero,
     bench_adaptive,
     bench_arrivals,
-    bench_stats
+    bench_stats,
+    bench_journal
 );
 criterion_main!(micro);

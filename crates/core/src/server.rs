@@ -493,7 +493,7 @@ where
     };
     let cfg = cfg.validated()?;
     let k = cfg.estimator.samples();
-    let resume = match journal.as_deref() {
+    let resume = match journal.as_deref_mut() {
         Some(j) => scan_journal(j, &cfg, k, supervisor.is_some())?,
         None => ResumePlan::fresh(cfg.procs),
     };
@@ -814,9 +814,11 @@ fn check_record(rec: &WalRecord, procs: usize) -> Result<(), String> {
 /// resume plan. Floats are compared bitwise — the WAL header echoes them
 /// as bits, so any drift in configuration fails loudly instead of
 /// replaying against different semantics. A torn final line (a kill
-/// mid-append) is dropped; corruption anywhere earlier is an error.
+/// mid-append) is dropped; corruption anywhere earlier is an error. Once
+/// the journal is accepted, its torn tails are cut so the resumed
+/// session's appends start on a clean line and frame.
 fn scan_journal(
-    journal: &SessionJournal,
+    journal: &mut SessionJournal,
     cfg: &ServerConfig,
     k: usize,
     supervised: bool,
@@ -865,6 +867,8 @@ fn scan_journal(
             Err(e) => return Err(recovery_err(format!("corrupt WAL line {i}: {e}"))),
         }
     }
+    // the header plus every record that parsed
+    let accepted = 1 + records.len();
     let record_batch = |r: &WalRecord| match r {
         WalRecord::Batch(b) => b.batch,
         WalRecord::Exploit(e) => e.batch,
@@ -897,6 +901,7 @@ fn scan_journal(
             Some(bytes)
         }
     };
+    journal.cut_torn_tail(accepted).map_err(journal_io)?;
     Ok(ResumePlan {
         fresh: false,
         snapshot,
@@ -2340,30 +2345,37 @@ mod tests {
     fn torn_final_wal_line_is_dropped_on_resume() {
         let config = cfg(Estimator::Single, 30, 8);
         let plan = FaultPlan::new(7, 0.3, 0.0, 0.0, 0.0);
-
-        let mut journal = SessionJournal::in_memory();
-        let mut opt = ProOptimizer::with_defaults(space());
-        let full = outcome(
-            &Noise::None,
-            &mut opt,
-            config,
-            journalled(plan, &mut journal, RecoveryConfig::default()),
-        )
-        .unwrap();
-
-        let mut part = journal.clone();
-        part.truncate_records(4).unwrap();
-        // a kill mid-append leaves a torn, unparsable tail line
-        part.append_wal("{\"t\":\"batch\",\"b\":9,\"est\"").unwrap();
-        let mut opt2 = ProOptimizer::with_defaults(space());
-        let resumed = outcome(
-            &Noise::None,
-            &mut opt2,
-            config,
-            journalled(plan, &mut part, RecoveryConfig::default()),
-        )
-        .unwrap();
-        assert_eq!(full, resumed, "torn tail is dropped, not fatal");
+        let run = |journal: &mut SessionJournal| {
+            let mut opt = ProOptimizer::with_defaults(space());
+            outcome(
+                &Noise::None,
+                &mut opt,
+                config,
+                journalled(plan, journal, RecoveryConfig::default()),
+            )
+            .unwrap()
+        };
+        let dir = std::env::temp_dir().join(format!("harmony-server-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for mut journal in [
+            SessionJournal::in_memory(),
+            SessionJournal::at_dir(&dir).unwrap(),
+        ] {
+            let full = run(&mut journal);
+            let records = journal.wal_lines().unwrap().len() - 1;
+            assert!(records > 6, "session committed several records");
+            // a kill mid-append leaves a torn, unparsable tail line; the
+            // resume cuts it before appending, so a second kill and
+            // resume of the same journal succeeds too
+            for kill in [4, records - 2] {
+                journal.truncate_records(kill).unwrap();
+                journal
+                    .append_wal("{\"t\":\"batch\",\"b\":9,\"est\"")
+                    .unwrap();
+                assert_eq!(full, run(&mut journal), "torn tail after record {kill}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! `u64`s, so replay is bit-exact; `null` encodes an absent estimate.
 
 use crate::codec::CodecError;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// WAL schema version; bump on breaking record changes.
@@ -249,7 +248,7 @@ impl WalRecord {
     pub fn from_line(line: &str) -> Result<Self, CodecError> {
         let v = Val::parse(line)?;
         let obj = v.obj()?;
-        match obj.str_field("t")?.as_str() {
+        match obj.str_field("t")? {
             "hdr" => Ok(WalRecord::Header(HeaderRecord {
                 version: obj.u64_field("v")? as u32,
                 procs: obj.usize_field("procs")?,
@@ -336,7 +335,7 @@ impl WalRecord {
     }
 }
 
-fn stats_array(obj: &Obj) -> Result<[usize; 6], CodecError> {
+fn stats_array(obj: &Obj<'_>) -> Result<[usize; 6], CodecError> {
     let v = obj.usize_vec_field("stats")?;
     v.try_into()
         .map_err(|v: Vec<usize>| CodecError::BadValue(format!("stats arity {}", v.len())))
@@ -406,25 +405,31 @@ fn push_opt_bits(s: &mut String, vs: &[Option<f64>]) {
     s.push(']');
 }
 
-/// The minimal JSON value subset WAL records use.
+/// The minimal JSON value subset WAL records use. Strings and object
+/// keys borrow from the parsed line.
 #[derive(Debug, Clone, PartialEq)]
-enum Val {
+enum Val<'a> {
     Null,
     Num(u64),
-    Str(String),
-    Arr(Vec<Val>),
-    Obj(Obj),
+    Str(&'a str),
+    Arr(Vec<Val<'a>>),
+    Obj(Obj<'a>),
 }
 
+/// A JSON object as its fields in line order. Lookups search from the
+/// end, so of duplicate keys the last one wins.
 #[derive(Debug, Clone, PartialEq, Default)]
-struct Obj {
-    fields: HashMap<String, Val>,
+struct Obj<'a> {
+    fields: Vec<(&'a str, Val<'a>)>,
 }
 
-impl Obj {
-    fn field(&self, key: &str) -> Result<&Val, CodecError> {
+impl<'a> Obj<'a> {
+    fn field(&self, key: &str) -> Result<&Val<'a>, CodecError> {
         self.fields
-            .get(key)
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v)
             .ok_or_else(|| CodecError::BadValue(format!("missing WAL field {key:?}")))
     }
     fn u64_field(&self, key: &str) -> Result<u64, CodecError> {
@@ -433,15 +438,15 @@ impl Obj {
     fn usize_field(&self, key: &str) -> Result<usize, CodecError> {
         Ok(self.u64_field(key)? as usize)
     }
-    fn str_field(&self, key: &str) -> Result<String, CodecError> {
+    fn str_field(&self, key: &str) -> Result<&'a str, CodecError> {
         match self.field(key)? {
-            Val::Str(s) => Ok(s.clone()),
+            Val::Str(s) => Ok(s),
             other => Err(CodecError::BadValue(format!(
                 "field {key:?} not a string: {other:?}"
             ))),
         }
     }
-    fn arr_field(&self, key: &str) -> Result<&[Val], CodecError> {
+    fn arr_field(&self, key: &str) -> Result<&[Val<'a>], CodecError> {
         match self.field(key)? {
             Val::Arr(vs) => Ok(vs),
             other => Err(CodecError::BadValue(format!(
@@ -457,7 +462,7 @@ impl Obj {
     }
 }
 
-impl Val {
+impl<'a> Val<'a> {
     fn u64(&self) -> Result<u64, CodecError> {
         match self {
             Val::Num(n) => Ok(*n),
@@ -467,7 +472,7 @@ impl Val {
         }
     }
 
-    fn obj(&self) -> Result<&Obj, CodecError> {
+    fn obj(&self) -> Result<&Obj<'a>, CodecError> {
         match self {
             Val::Obj(o) => Ok(o),
             other => Err(CodecError::BadValue(format!(
@@ -476,18 +481,18 @@ impl Val {
         }
     }
 
-    fn parse(s: &str) -> Result<Val, CodecError> {
-        let bytes = s.as_bytes();
+    fn parse(s: &'a str) -> Result<Val<'a>, CodecError> {
         let mut pos = 0usize;
-        let v = Self::parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = Self::parse_value(s, &mut pos)?;
+        skip_ws(s.as_bytes(), &mut pos);
+        if pos != s.len() {
             return Err(CodecError::BadValue(format!("trailing JSON at byte {pos}")));
         }
         Ok(v)
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Val, CodecError> {
+    fn parse_value(s: &'a str, pos: &mut usize) -> Result<Val<'a>, CodecError> {
+        let b = s.as_bytes();
         skip_ws(b, pos);
         match b.get(*pos) {
             None => Err(CodecError::UnexpectedEof),
@@ -501,8 +506,8 @@ impl Val {
                 }
                 loop {
                     skip_ws(b, pos);
-                    let key = match Self::parse_value(b, pos)? {
-                        Val::Str(s) => s,
+                    let key = match Self::parse_value(s, pos)? {
+                        Val::Str(key) => key,
                         other => {
                             return Err(CodecError::BadValue(format!(
                                 "object key not a string: {other:?}"
@@ -511,8 +516,8 @@ impl Val {
                     };
                     skip_ws(b, pos);
                     expect(b, pos, b':')?;
-                    let val = Self::parse_value(b, pos)?;
-                    obj.fields.insert(key, val);
+                    let val = Self::parse_value(s, pos)?;
+                    obj.fields.push((key, val));
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -533,7 +538,7 @@ impl Val {
                     return Ok(Val::Arr(arr));
                 }
                 loop {
-                    arr.push(Self::parse_value(b, pos)?);
+                    arr.push(Self::parse_value(s, pos)?);
                     skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -548,21 +553,18 @@ impl Val {
             Some(b'"') => {
                 *pos += 1;
                 let start = *pos;
-                while let Some(&c) = b.get(*pos) {
-                    if c == b'"' {
-                        let raw = &b[start..*pos];
-                        *pos += 1;
-                        let s = std::str::from_utf8(raw)
-                            .map_err(|_| CodecError::BadValue("non-UTF-8 JSON string".into()))?;
-                        // WAL strings are plain identifiers; escapes unsupported
-                        if s.contains('\\') {
-                            return Err(CodecError::BadValue("escaped JSON string".into()));
-                        }
-                        return Ok(Val::Str(s.to_owned()));
-                    }
-                    *pos += 1;
+                let Some(len) = b[start..].iter().position(|&c| c == b'"') else {
+                    return Err(CodecError::UnexpectedEof);
+                };
+                *pos = start + len + 1;
+                // the line is a `str` and the string lies between two
+                // ASCII quotes, so the slice is on char boundaries
+                let raw = &s[start..start + len];
+                // WAL strings are plain identifiers; escapes unsupported
+                if raw.contains('\\') {
+                    return Err(CodecError::BadValue("escaped JSON string".into()));
                 }
-                Err(CodecError::UnexpectedEof)
+                Ok(Val::Str(raw))
             }
             Some(b'n') => {
                 expect_word(b, pos, b"null")?;
@@ -581,7 +583,7 @@ impl Val {
                 while b.get(*pos).is_some_and(u8::is_ascii_digit) {
                     *pos += 1;
                 }
-                let raw = std::str::from_utf8(&b[start..*pos]).unwrap();
+                let raw = &s[start..*pos];
                 raw.parse::<u64>()
                     .map(Val::Num)
                     .map_err(|_| CodecError::BadValue(format!("bad number {raw:?}")))

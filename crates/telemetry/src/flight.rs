@@ -155,6 +155,8 @@ fn client_field(r: &Record) -> Option<String> {
 
 impl Sink for FlightRecorder {
     fn record(&self, record: Record) {
+        // the ring keeps the record itself; only a forward sink needs a copy
+        let forward = self.forward.as_ref().map(|inner| (inner, record.clone()));
         {
             let mut state = self.lock();
             state.metrics.ingest(&record);
@@ -169,23 +171,24 @@ impl Sink for FlightRecorder {
                     state.health.insert(client, h);
                 }
             }
-            state.ring.push_back(record.clone());
-            while state.ring.len() > self.capacity {
-                state.ring.pop_front();
-            }
             let terminal = matches!(record.kind, Kind::Event)
                 && (TERMINAL_EVENTS.contains(&record.name.as_str())
                     || record.name == "recovery.breaker_open");
-            if terminal {
-                let text = state.render(&record.name, record.clock);
+            let reason = terminal.then(|| (record.name.clone(), record.clock));
+            state.ring.push_back(record);
+            while state.ring.len() > self.capacity {
+                state.ring.pop_front();
+            }
+            if let Some((reason, clock)) = reason {
+                let text = state.render(&reason, clock);
                 state.post_mortems.push(PostMortem {
-                    reason: record.name.clone(),
-                    clock: record.clock,
+                    reason,
+                    clock,
                     text,
                 });
             }
         }
-        if let Some(inner) = &self.forward {
+        if let Some((inner, record)) = forward {
             inner.record(record);
         }
     }

@@ -467,6 +467,75 @@ fn corrupt_session_snapshots_never_panic_on_resume() {
     assert!(panicked.is_empty(), "resume panicked at {panicked:?}");
 }
 
+/// Every single-byte corruption (masks 0x01, 0x80, 0xFF) of a header, a
+/// batch and an exploit WAL line parses to `Ok` or `Err` without a
+/// panic, and a journal holding the flipped line resumes `Ok` or fails
+/// with `ServerError::Recovery`. An in-memory journal holds text, so the
+/// flipped bytes enter it as lossy UTF-8; a directory journal holding
+/// the raw non-UTF-8 bytes fails typed.
+#[test]
+fn flipped_wal_lines_never_panic() {
+    let mut journal = SessionJournal::in_memory();
+    journalled(&mut journal, RecoveryConfig::default()).unwrap();
+    let lines = journal.wal_lines().unwrap();
+    let first = |t: &str| {
+        let tag = format!("{{\"t\":\"{t}\"");
+        lines
+            .iter()
+            .position(|l| l.starts_with(&tag))
+            .unwrap_or_else(|| panic!("no {t} record"))
+    };
+    let quiet = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let (mut panicked, mut untyped) = (Vec::new(), Vec::new());
+    let dir = std::env::temp_dir().join(format!("harmony-wal-flip-{}", std::process::id()));
+    for idx in [first("hdr"), first("batch"), first("exploit")] {
+        let bytes = lines[idx].as_bytes();
+        for i in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut mutant = bytes.to_vec();
+                mutant[i] ^= mask;
+                let line = String::from_utf8_lossy(&mutant).into_owned();
+                let parse = || WalRecord::from_line(&line).is_ok();
+                if std::panic::catch_unwind(parse).is_err() {
+                    panicked.push((idx, i, mask, "parse"));
+                }
+                let mut part = SessionJournal::in_memory();
+                for (j, l) in lines.iter().enumerate() {
+                    part.append_wal(if j == idx { &line } else { l }).unwrap();
+                }
+                let resume = || journalled(&mut part, RecoveryConfig::default());
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(resume)) {
+                    Err(_) => panicked.push((idx, i, mask, "resume")),
+                    Ok(Ok(_) | Err(ServerError::Recovery(_))) => {}
+                    Ok(Err(e)) => untyped.push((idx, i, mask, e.to_string())),
+                }
+            }
+        }
+        // the raw bytes in a directory journal: not UTF-8, so not a WAL
+        let mut text = Vec::new();
+        for (j, l) in lines.iter().enumerate() {
+            let start = text.len();
+            text.extend_from_slice(l.as_bytes());
+            if j == idx {
+                text[start + 1] ^= 0x80;
+            }
+            text.push(b'\n');
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut raw = SessionJournal::at_dir(&dir).unwrap();
+        std::fs::write(dir.join("wal.jsonl"), text).unwrap();
+        match journalled(&mut raw, RecoveryConfig::default()) {
+            Err(ServerError::Recovery(_)) => {}
+            other => untyped.push((idx, 1, 0x80, format!("directory journal: {other:?}"))),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    std::panic::set_hook(quiet);
+    assert!(panicked.is_empty(), "panics at {panicked:?}");
+    assert!(untyped.is_empty(), "untyped errors: {untyped:?}");
+}
+
 /// ISSUE acceptance: 25% crashes + 10% hangs on GS2 still terminates
 /// `Ok` with a best true cost within 2× of the fault-free session.
 #[test]
